@@ -7,6 +7,7 @@
 #include "sim/placement.hpp"
 #include "sim/scheduler.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace iotml::sim {
 namespace {
@@ -309,6 +310,126 @@ TEST(Fleet, Validation) {
   FleetConfig bad_flush = small_config();
   bad_flush.device_flush_s = 0.0;
   EXPECT_THROW(FleetSim{bad_flush}, InvalidArgument);
+}
+
+// ---- Byte-identity pins -------------------------------------------------------
+
+// FNV-1a-64 over the report JSON followed by the event log, one
+// newline-terminated line per event: one number that moves if any RNG draw,
+// event or ledger byte of the run moves.
+std::uint64_t run_digest(const FleetConfig& config) {
+  FleetSim fleet(config);
+  const std::string json = fleet.run().to_json();
+  std::uint64_t h = kFnv64Basis;
+  auto fold = [&h](const std::string& s) {
+    for (const char c : s) h = fnv1a64_byte(h, static_cast<std::uint8_t>(c));
+  };
+  fold(json);
+  for (const std::string& line : fleet.event_log()) {
+    fold(line);
+    h = fnv1a64_byte(h, '\n');
+  }
+  return h;
+}
+
+// Ack/retry links under compound chaos: edge crashes (one during the deploy
+// broadcast), device churn, a partition, a loss burst, a corruption storm,
+// checkpoints and store-and-forward.
+void enable_ack_chaos(FleetConfig& config) {
+  config.channel.mode = net::ChannelMode::kAckRetry;
+  config.channel.ack_timeout_s = 0.1;
+  config.channel.backoff_base_s = 0.05;
+  config.channel.backoff_cap_s = 1.0;
+  config.channel.max_attempts = 6;
+  config.checkpoint_interval_s = 2.0;
+  config.device_buffer_rows = 4096;
+  config.faults.edge_crashes = 1.0;
+  config.faults.edge_downtime_mean_s = 3.0;
+  config.faults.device_churns = 5.0;
+  config.faults.device_offtime_mean_s = 2.0;
+  config.chaos.partitions = 1.0;
+  config.chaos.partition_mean_s = 4.0;
+  config.chaos.loss_bursts = 1.0;
+  config.chaos.burst_drop_prob = 0.4;
+  config.chaos.corruption_storms = 1.0;
+  config.chaos.storm_corrupt_prob = 0.1;
+  config.chaos.crash_during_broadcast = true;
+}
+
+// Deploy plus the OTA loop over ack/retry links under compound chaos, with
+// the observatory on, so flight dumps (and the trace ids they carry) reach
+// the report.
+FleetConfig pinned_ota_config() {
+  FleetConfig config;
+  config.devices = 20;
+  config.edges = 2;
+  config.duration_s = 24.0;
+  config.seed = 31;
+  config.device_flush_s = 2.0;
+  config.edge_flush_s = 3.0;
+  enable_ack_chaos(config);
+  config.deploy.enabled = true;
+  config.deploy.stale_fallback = true;
+  config.ota.enabled = true;
+  config.ota.epochs = 3;
+  config.observatory.enabled = true;
+  return config;
+}
+
+// TDF telemetry with a free-running degradation ladder under load storms,
+// with bands tight enough that the ladder actually moves.
+FleetConfig pinned_degrade_config() {
+  FleetConfig config;
+  config.devices = 20;
+  config.edges = 2;
+  config.duration_s = 60.0;
+  config.seed = 9001;
+  config.channel.mode = net::ChannelMode::kAckRetry;
+  config.channel.queue_capacity = 2;
+  config.checkpoint_interval_s = 2.0;
+  config.device_buffer_rows = 4096;
+  config.chaos.partitions = 1.0;
+  config.chaos.partition_mean_s = 4.0;
+  config.chaos.loss_bursts = 1.0;
+  config.chaos.corruption_storms = 1.0;
+  config.chaos.load_storms = 5.0;
+  config.chaos.load_storm_mean_s = 8.0;
+  config.chaos.load_storm_factor = 6.0;
+  config.telemetry.enabled = true;
+  config.degrade.enabled = true;
+  config.degrade.dead_letter_rate_ref = 0.25;
+  config.degrade.thresholds.up = {0.2, 0.6, 1.2};
+  config.degrade.thresholds.down = {0.1, 0.4, 0.9};
+  config.degrade.thresholds.dwell_s = 3.0;
+  return config;
+}
+
+TEST(FleetPin, DeployOtaAckChaosObservatoryIsByteIdentical) {
+  // Pinned before the per-stream senders were folded into one transmit
+  // path; re-pin only for a deliberate behaviour change.
+  EXPECT_EQ(run_digest(pinned_ota_config()), 0x30ad797972fc9227ULL);
+}
+
+TEST(FleetPin, TelemetryDegradeLoadStormsIsByteIdentical) {
+  EXPECT_EQ(run_digest(pinned_degrade_config()), 0xa72a113c33199c23ULL);
+}
+
+TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
+  // Keeps the pins honest: each pinned fleet must drive the paths it claims.
+  FleetSim ota_fleet(pinned_ota_config());
+  const FleetReport ota = ota_fleet.run();
+  EXPECT_TRUE(ota.rows_conserved());
+  EXPECT_GT(ota.deploy.predictions_delivered, 0u);
+  EXPECT_GT(ota.deploy.ota.chunks_sent, ota.deploy.ota.chunks_delivered);
+  EXPECT_GT(ota.deploy.ota.resume_rounds, 0u);
+
+  FleetSim degrade_fleet(pinned_degrade_config());
+  const FleetReport degrade = degrade_fleet.run();
+  EXPECT_TRUE(degrade.rows_conserved());
+  EXPECT_GT(degrade.telemetry.frames_sent, 0u);
+  EXPECT_GT(degrade.faults.load_storms, 0u);
+  EXPECT_GT(degrade.degradation.transitions_up, 0u);
+  EXPECT_GT(degrade.degradation.transitions_down, 0u);
 }
 
 }  // namespace
