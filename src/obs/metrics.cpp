@@ -92,30 +92,33 @@ double Histogram::max() const noexcept {
   return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
 }
 
-double Histogram::percentile(double q) const {
-  IOTML_CHECK(q >= 0.0 && q <= 1.0, "Histogram::percentile: q outside [0, 1]");
-  const std::vector<std::uint64_t> counts = bucket_counts();
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<std::uint64_t>& counts, double lo, double hi,
+                       double q) {
   std::uint64_t total = 0;
   for (const std::uint64_t c : counts) total += c;
   if (total == 0) return 0.0;
 
-  const double lo_all = min();
-  const double hi_all = max();
   const double target = q * static_cast<double>(total);
   double cum = 0.0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] == 0) continue;
     const double next = cum + static_cast<double>(counts[i]);
     if (next >= target) {
-      const double lower = i == 0 ? lo_all : std::max(lo_all, bounds_[i - 1]);
-      const double upper = i < bounds_.size() ? std::min(hi_all, bounds_[i]) : hi_all;
+      const double lower = i == 0 ? lo : std::max(lo, bounds[i - 1]);
+      const double upper = i < bounds.size() ? std::min(hi, bounds[i]) : hi;
       const double frac =
           std::clamp((target - cum) / static_cast<double>(counts[i]), 0.0, 1.0);
-      return std::clamp(lower + (upper - lower) * frac, lo_all, hi_all);
+      return std::clamp(lower + (upper - lower) * frac, lo, hi);
     }
     cum = next;
   }
-  return hi_all;
+  return hi;
+}
+
+double Histogram::percentile(double q) const {
+  IOTML_CHECK(q >= 0.0 && q <= 1.0, "Histogram::percentile: q outside [0, 1]");
+  return bucket_quantile(bounds_, bucket_counts(), min(), max(), q);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {

@@ -35,6 +35,14 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// The interpolated q-quantile shared by Histogram and LogHistogram: find
+/// the bucket holding rank q * (total count), interpolate linearly inside it
+/// and clamp to the observed [lo, hi]. `counts` has one more entry than
+/// `bounds` (the overflow bucket). Returns 0 when every bucket is empty.
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<std::uint64_t>& counts, double lo, double hi,
+                       double q);
+
 /// Fixed-bucket histogram with lock-free recording and interpolated
 /// percentiles. Bucket i counts values in (bounds[i-1], bounds[i]]; one
 /// implicit overflow bucket catches values above the last bound, so no

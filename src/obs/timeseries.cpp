@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace iotml::obs {
@@ -49,25 +50,7 @@ double LogHistogram::mean() const noexcept {
 
 double LogHistogram::quantile(double q) const {
   IOTML_CHECK(q >= 0.0 && q <= 1.0, "LogHistogram::quantile: q outside [0, 1]");
-  if (count_ == 0) return 0.0;
-
-  const double lo_all = min_;
-  const double hi_all = max_;
-  const double target = q * static_cast<double>(count_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const double next = cum + static_cast<double>(buckets_[i]);
-    if (next >= target) {
-      const double lower = i == 0 ? lo_all : std::max(lo_all, bounds_[i - 1]);
-      const double upper = i < bounds_.size() ? std::min(hi_all, bounds_[i]) : hi_all;
-      const double frac =
-          std::clamp((target - cum) / static_cast<double>(buckets_[i]), 0.0, 1.0);
-      return std::clamp(lower + (upper - lower) * frac, lo_all, hi_all);
-    }
-    cum = next;
-  }
-  return hi_all;
+  return bucket_quantile(bounds_, buckets_, min(), max(), q);
 }
 
 void LogHistogram::reset() noexcept {

@@ -1176,13 +1176,10 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   const bool from_device = from < config_.devices;
   const bool ack = config_.channel.mode == net::ChannelMode::kAckRetry;
 
-  std::vector<std::uint64_t> parents = std::move(chunk.parents);
-
   net::Message msg;
   msg.src = from;
   msg.dst = to;
   msg.sent_s = now_s;
-  msg.trace.id = next_trace_++;
   msg.trace.hop = from_device ? 0 : 1;
   msg.origin_s = std::move(chunk.origin_s);
   msg.payload = std::move(chunk.rows);
@@ -1207,26 +1204,10 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   msg.checksum = net::payload_checksum(msg.payload);
   const std::size_t bytes = net::wire_size_bytes(msg);
 
-  // One journey record per send, whatever its fate. Copies `parents` —
-  // keep_rows may still need to hand them back to a buffer.
-  auto record_send = [&](const char* outcome, double t1_s, std::uint32_t attempts) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = msg.trace.id;
-    r.hop = msg.trace.hop;
-    r.kind = obs::HopKind::kSend;
-    r.src = from;
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.rows = rows;
-    r.bytes = bytes;
-    r.attempts = attempts;
-    r.outcome = outcome;
-    r.parents = parents;
-    obsy_->journeys().record(std::move(r));
-    obsy_->flight().note(from, now_s, outcome, rows, bytes);
-  };
+  // The send's journey record, whatever its fate. It holds the parents until
+  // the message is stored — keep_rows may still hand them back to a buffer.
+  obs::HopRecord frame{.src = from, .dst = to, .rows = rows, .bytes = bytes,
+                       .parents = std::move(chunk.parents)};
 
   // Put the rows back where they can survive after a failed reliable send:
   // a device store-and-forwards (or loses the window without a buffer), an
@@ -1238,7 +1219,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
         back.row_count = rows;
         back.rows = std::move(msg.payload);
         back.origin_s = std::move(msg.origin_s);
-        back.parents = std::move(parents);
+        back.parents = std::move(frame.parents);
         if (telemetry_on()) {
           telemetry_store(from, std::move(back));
         } else {
@@ -1253,7 +1234,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
       Buffer& buf = edge_buffers_[from - config_.devices];
       buf.rows.append_rows(msg.payload);
       buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
-      buf.parents.insert(buf.parents.end(), parents.begin(), parents.end());
+      buf.parents.insert(buf.parents.end(), frame.parents.begin(), frame.parents.end());
       if (degrade_on()) {
         buf.strata.push_back(
             {static_cast<std::uint32_t>(from), buf.row_count, rows});
@@ -1267,7 +1248,14 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   // retry schedule into a dead node. Fire-and-forget cannot know — it
   // transmits and the frame dies at the receiver (see handle_arrival).
   if (ack && !topo_.node(to).up) {
-    record_send("receiver_down", 0.0, 0);
+    frame.trace = next_trace_++;
+    frame.hop = msg.trace.hop;
+    frame.t0_s = now_s;
+    frame.outcome = "receiver_down";
+    if (obsy_) {
+      obsy_->journeys().record(frame);
+      obsy_->flight().note(from, now_s, frame.outcome, rows, bytes);
+    }
     keep_rows(false);
     return;
   }
@@ -1282,8 +1270,12 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     tdf_pre_rejects = channels_[link_index].stats().corrupt_rejected;
     tdf_pre_retrans = channels_[link_index].stats().retransmits;
   }
+  // Only intact arrivals are scheduled by transmit: a corrupt frame still
+  // lands, and only rows are rejected at the receiver (kCorruptArrival).
   const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
+      transmit(frame, EventKind::kArrival, messages_.size(), now_s);
+  msg.trace.id = frame.trace;
+  if (obsy_) obsy_->flight().note(from, now_s, frame.outcome, rows, bytes);
   if (degrade_on()) {
     // Fold the post-send queue depth into the owning edge's congestion
     // hint; its controller reads (and resets) the max at its next update.
@@ -1307,7 +1299,6 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     // Backpressure: the bounded send queue refused the message.
     ++report_.messages_dropped;
     obs::registry().counter("sim.net.dropped").add();
-    record_send("dead_letter", 0.0, out.attempts);
     flight_dump(from, "dead-letter", now_s);
     if (degrade_on()) {
       ++degrade_dead_letters_[(from_device ? to : from) - config_.devices];
@@ -1334,7 +1325,6 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   if (!out.delivered && !out.corrupted) {
     ++report_.messages_dropped;
     obs::registry().counter("sim.net.dropped").add();
-    record_send(ack ? "timeout" : "dropped", 0.0, out.attempts);
     if (ack) {
       keep_rows(false);
     } else {
@@ -1342,33 +1332,48 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     }
     return;
   }
-  const std::size_t index = messages_.size();
-  msg.id = index;
+  msg.id = messages_.size();
   if (out.corrupted) {
     // Fire-and-forget only: the frame lands, but the wire flipped bits, so
     // the stamped checksum no longer matches what the receiver recomputes.
-    record_send("corrupt", out.arrival_s, out.attempts);
     if (tdf_msg) {
       // Wire damage hits the frame bytes themselves; the FNV-1a32 trailer
       // no longer matches and the edge rejects without decoding a cell.
       msg.tdf_frame[msg.tdf_frame.size() / 2] ^= 0x10;
     }
     msg.checksum ^= 1;
-    messages_.push_back(std::move(msg));
-    msg_parents_.push_back(std::move(parents));
-    sched_.push(out.arrival_s, EventKind::kCorruptArrival, to, index);
+    sched_.push(out.arrival_s, EventKind::kCorruptArrival, to, msg.id);
     if (out.duplicated) {
-      sched_.push(out.duplicate_arrival_s, EventKind::kCorruptArrival, to, index);
+      sched_.push(out.duplicate_arrival_s, EventKind::kCorruptArrival, to, msg.id);
     }
-    return;
   }
-  record_send("delivered", out.arrival_s, out.attempts);
   messages_.push_back(std::move(msg));
-  msg_parents_.push_back(std::move(parents));
-  sched_.push(out.arrival_s, EventKind::kArrival, to, index);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kArrival, to, index);
+  msg_parents_.push_back(std::move(frame.parents));
+}
+
+net::ChannelOutcome FleetSim::transmit(obs::HopRecord& frame, EventKind arrival,
+                                       std::size_t message, double now_s) {
+  const std::size_t link = frame.src < frame.dst ? topo_.uplink_index(frame.src)
+                                                 : topo_.downlink_index(frame.dst);
+  const net::ChannelOutcome out =
+      channels_[link].send(now_s, frame.bytes, link_rngs_[link]);
+  const bool ack = channels_[link].mode() == net::ChannelMode::kAckRetry;
+  frame.trace = next_trace_++;
+  // Hop 0 leaves the originator (a device or the core), hop 1 an edge relay.
+  frame.hop = frame.src >= config_.devices && frame.src != topo_.core() ? 1 : 0;
+  frame.t0_s = now_s;
+  frame.t1_s = out.delivered || out.corrupted ? out.arrival_s : 0.0;
+  frame.attempts = out.attempts;
+  frame.outcome = !out.accepted   ? "dead_letter"
+                  : out.corrupted ? "corrupt"
+                  : !out.delivered ? (ack ? "timeout" : "dropped")
+                                   : "delivered";
+  if (obsy_) obsy_->journeys().record(frame);
+  if (out.delivered) {
+    sched_.push(out.arrival_s, arrival, frame.dst, message);
+    if (out.duplicated) sched_.push(out.duplicate_arrival_s, arrival, frame.dst, message);
   }
+  return out;
 }
 
 void FleetSim::handle_arrival(const Event& event) {
@@ -1949,46 +1954,17 @@ void FleetSim::handle_deploy_broadcast(const Event& event) {
 }
 
 void FleetSim::send_artifact(net::NodeId to, double now_s) {
-  const std::size_t link_index = topo_.downlink_index(to);
   // The sender's radio spends the bytes whether or not the wire delivers.
   report_.deploy.downlink_bytes += artifact_wire_bytes_;
   obs::registry().counter("deploy.artifact_sends").add();
   obs::registry().counter("deploy.downlink_bytes").add(artifact_wire_bytes_);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, artifact_wire_bytes_, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  auto record_artifact_send = [&](const char* outcome, double t1_s) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = to >= config_.devices ? 0 : 1;  // core->edge, then edge->device
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kArtifact;
-    r.src = to >= config_.devices ? topo_.core() : topo_.next_hop(to);
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.bytes = artifact_wire_bytes_;
-    r.attempts = out.attempts;
-    r.outcome = outcome;
-    r.parents = {broadcast_trace_};
-    obsy_->journeys().record(std::move(r));
-  };
-  if (out.corrupted) {
+  obs::HopRecord frame{.stream = obs::HopStream::kArtifact, .src = topo_.next_hop(to),
+                       .dst = to, .bytes = artifact_wire_bytes_,
+                       .parents = {broadcast_trace_}};
+  if (transmit(frame, EventKind::kArtifactArrival, kNoMessage, now_s).corrupted) {
     // The artifact frame fails its checksum at the receiver, which keeps
     // its prior model rather than binding corrupt parameters.
     obs::registry().counter("deploy.artifact_corrupt_rejected").add();
-    record_artifact_send("corrupt", out.arrival_s);
-    return;
-  }
-  if (!out.accepted || !out.delivered) {
-    record_artifact_send(out.accepted ? "dropped" : "dead_letter", 0.0);
-    return;
-  }
-  record_artifact_send("delivered", out.arrival_s);
-  sched_.push(out.arrival_s, EventKind::kArtifactArrival, to);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kArtifactArrival, to);
   }
 }
 
@@ -2099,47 +2075,16 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
 }
 
 void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_s) {
-  const std::size_t link_index = topo_.uplink_index(from);
   const std::size_t bytes = pred_batches_[batch].wire_bytes;
-  const net::NodeId to = topo_.next_hop(from);
   report_.deploy.uplink_prediction_bytes += bytes;
   obs::registry().counter("deploy.prediction_bytes").add(bytes);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  auto record_pred_send = [&](const char* outcome, double t1_s) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = from < config_.devices ? 0 : 1;
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kPredictions;
-    r.src = from;
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.rows = pred_batches_[batch].rows;
-    r.bytes = bytes;
-    r.attempts = out.attempts;
-    r.outcome = outcome;
-    r.parents = {pred_traces_[batch]};
-    obsy_->journeys().record(std::move(r));
-  };
-  if (out.corrupted) {
+  obs::HopRecord frame{.stream = obs::HopStream::kPredictions, .src = from,
+                       .dst = topo_.next_hop(from), .rows = pred_batches_[batch].rows,
+                       .bytes = bytes, .parents = {pred_traces_[batch]}};
+  if (transmit(frame, EventKind::kPredictionArrival, batch, now_s).corrupted) {
     // A corrupt prediction batch is rejected at the receiver; predictions
     // are best-effort telemetry and are not retried in fire-and-forget mode.
     obs::registry().counter("deploy.prediction_corrupt_rejected").add();
-    record_pred_send("corrupt", out.arrival_s);
-    return;
-  }
-  if (!out.accepted || !out.delivered) {
-    record_pred_send(out.accepted ? "dropped" : "dead_letter", 0.0);
-    return;
-  }
-  record_pred_send("delivered", out.arrival_s);
-  sched_.push(out.arrival_s, EventKind::kPredictionArrival, to, batch);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kPredictionArrival, to, batch);
   }
 }
 
@@ -2402,11 +2347,10 @@ void FleetSim::send_ota_chunks(std::size_t transfer_index,
 void FleetSim::send_ota_chunk_hop(net::NodeId to, std::size_t record,
                                   double now_s) {
   const OtaChunkMsg& msg = ota_chunk_msgs_[record];
-  const OtaTransfer& t = ota_transfers_[msg.transfer];
-  const OtaRollout& ro = ota_rollouts_[t.rollout];
+  const OtaRollout& ro = ota_rollouts_[ota_transfers_[msg.transfer].rollout];
   const ota::ChunkedPatch& chunked = msg.full ? ro.full : ro.delta;
-  const ota::ChunkFrame frame = chunked.frame(msg.chunk);
-  const std::size_t bytes = net::kMessageHeaderBytes + frame.wire_bytes();
+  const std::size_t bytes =
+      net::kMessageHeaderBytes + chunked.frame(msg.chunk).wire_bytes();
 
   OtaSummary& ota = report_.deploy.ota;
   ++ota.chunks_sent;
@@ -2417,43 +2361,13 @@ void FleetSim::send_ota_chunk_hop(net::NodeId to, std::size_t record,
   obs::registry().counter("ota.chunk_sends").add();
   obs::registry().counter("ota.downlink_bytes").add(bytes);
 
-  const std::size_t link_index = topo_.downlink_index(to);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  auto record_send = [&](const char* outcome, double t1_s) {
-    if (!obsy_) return;
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = to >= config_.devices ? 0 : 1;  // core->edge, then edge->device
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kPatch;
-    r.src = to >= config_.devices ? topo_.core() : topo_.next_hop(to);
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = t1_s;
-    r.bytes = bytes;
-    r.attempts = out.attempts;
-    r.outcome = outcome;
-    r.parents = {ro.trace};
-    obsy_->journeys().record(std::move(r));
-  };
-  if (out.corrupted) {
+  obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = topo_.next_hop(to),
+                       .dst = to, .bytes = bytes, .parents = {ro.trace}};
+  if (transmit(frame, EventKind::kOtaChunkArrival, record, now_s).corrupted) {
     // The chunk fails its FNV check at the receiver and is discarded; the
     // resume round re-requests it.
     ++ota.chunks_corrupt_rejected;
     obs::registry().counter("ota.chunk_corrupt_rejected").add();
-    record_send("corrupt", out.arrival_s);
-    return;
-  }
-  if (!out.accepted || !out.delivered) {
-    record_send(out.accepted ? "dropped" : "dead_letter", 0.0);
-    return;
-  }
-  record_send("delivered", out.arrival_s);
-  sched_.push(out.arrival_s, EventKind::kOtaChunkArrival, to, record);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kOtaChunkArrival, to, record);
   }
 }
 
@@ -2575,44 +2489,16 @@ ota::CanaryProbe FleetSim::ota_probe(std::size_t device_index,
 
 void FleetSim::send_ota_report_hop(net::NodeId from, std::size_t record,
                                    double now_s) {
-  const OtaReportMsg& msg = ota_report_msgs_[record];
-  const OtaRollout& ro = ota_rollouts_[msg.rollout];
   // Version id + device + rows + two correct counts, each u32, framed.
   const std::size_t bytes = net::kMessageHeaderBytes + 20;
-  OtaSummary& ota = report_.deploy.ota;
-  ota.probe_uplink_bytes += bytes;
+  report_.deploy.ota.probe_uplink_bytes += bytes;
   obs::registry().counter("ota.probe_uplink_bytes").add(bytes);
-
-  const std::size_t link_index = topo_.uplink_index(from);
-  const net::NodeId to = topo_.next_hop(from);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  if (obsy_) {
-    obs::HopRecord r;
-    r.trace = frame_trace;
-    r.hop = from < config_.devices ? 0 : 1;  // device->edge, then edge->core
-    r.kind = obs::HopKind::kSend;
-    r.stream = obs::HopStream::kPatch;
-    r.src = from;
-    r.dst = to;
-    r.t0_s = now_s;
-    r.t1_s = out.delivered ? out.arrival_s : 0.0;
-    r.bytes = bytes;
-    r.attempts = out.attempts;
-    // A lost probe is tolerated, not retried: the verdict pools whatever
-    // reports made it.
-    r.outcome = out.corrupted                        ? "corrupt"
-                : (!out.accepted || !out.delivered) ? "dropped"
-                                                     : "delivered";
-    r.parents = {ro.trace};
-    obsy_->journeys().record(std::move(r));
-  }
-  if (out.corrupted || !out.accepted || !out.delivered) return;
-  sched_.push(out.arrival_s, EventKind::kOtaReportArrival, to, record);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kOtaReportArrival, to, record);
-  }
+  // A lost probe is tolerated, not retried: the verdict pools whatever
+  // reports made it.
+  obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = from,
+                       .dst = topo_.next_hop(from), .bytes = bytes,
+                       .parents = {ota_rollouts_[ota_report_msgs_[record].rollout].trace}};
+  transmit(frame, EventKind::kOtaReportArrival, record, now_s);
 }
 
 void FleetSim::handle_ota_report_arrival(const Event& event) {
@@ -2779,44 +2665,17 @@ void FleetSim::handle_ota_verdict(const Event& event) {
 
 void FleetSim::send_ota_control_hop(net::NodeId to, std::size_t record,
                                     double now_s) {
-  const OtaControlMsg& msg = ota_control_msgs_[record];
-  const OtaRollout& ro = ota_rollouts_[msg.rollout];
+  const OtaRollout& ro = ota_rollouts_[ota_control_msgs_[record].rollout];
   // Version id + command, framed — rollback ships no image bytes at all.
   const std::size_t bytes = net::kMessageHeaderBytes + 8;
   OtaSummary& ota = report_.deploy.ota;
   ota.delta_downlink_bytes += bytes;
   ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
-
-  const std::size_t link_index = topo_.downlink_index(to);
-  const net::ChannelOutcome out =
-      channels_[link_index].send(now_s, bytes, link_rngs_[link_index]);
-  const std::uint64_t frame_trace = next_trace_++;
-  if (obsy_) {
-    obs::HopRecord rec;
-    rec.trace = frame_trace;
-    rec.hop = to >= config_.devices ? 0 : 1;
-    rec.kind = obs::HopKind::kSend;
-    rec.stream = obs::HopStream::kPatch;
-    rec.src = to >= config_.devices ? topo_.core() : topo_.next_hop(to);
-    rec.dst = to;
-    rec.t0_s = now_s;
-    rec.t1_s = out.delivered ? out.arrival_s : 0.0;
-    rec.bytes = bytes;
-    rec.attempts = out.attempts;
-    // A lost rollback command is visible, not fatal: the device stays on
-    // the rolled-back version and the end-of-run histogram exposes it.
-    rec.outcome = out.corrupted                        ? "corrupt"
-                  : (!out.accepted || !out.delivered) ? "dropped"
-                                                       : "delivered";
-    rec.parents = {ro.trace};
-    obsy_->journeys().record(std::move(rec));
-  }
-  if (out.corrupted || !out.accepted || !out.delivered) return;
-  sched_.push(out.arrival_s, EventKind::kOtaControlArrival, to, record);
-  if (out.duplicated) {
-    sched_.push(out.duplicate_arrival_s, EventKind::kOtaControlArrival, to,
-                record);
-  }
+  // A lost rollback command is visible, not fatal: the device stays on the
+  // rolled-back version and the end-of-run histogram exposes it.
+  obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = topo_.next_hop(to),
+                       .dst = to, .bytes = bytes, .parents = {ro.trace}};
+  transmit(frame, EventKind::kOtaControlArrival, record, now_s);
 }
 
 void FleetSim::handle_ota_control_arrival(const Event& event) {

@@ -286,6 +286,16 @@ class FleetSim {
   void handle_arrival(const Event& event);
   void handle_corrupt_arrival(const Event& event);
   void send(net::NodeId from, Buffer&& chunk, double now_s);
+  /// The one send path for traced frames (DESIGN.md §9). The caller fills
+  /// `frame`'s src, dst, stream, rows, bytes and parents. A frame climbing
+  /// the tree (src < dst: node ids ascend device, edge, core) rides src's
+  /// uplink, any other dst's downlink. Sends with the link's rng, allocates
+  /// the trace id, fills in hop, times, attempts and the outcome — dead_letter,
+  /// corrupt, timeout (ack mode) or dropped (fire-and-forget), delivered —
+  /// journals the record, and on intact delivery schedules `arrival` at dst
+  /// for `message`, then its duplicate.
+  net::ChannelOutcome transmit(obs::HopRecord& frame, EventKind arrival,
+                               std::size_t message, double now_s);
   void finalize();
   int truth_label(double time_s) const;
 

@@ -28,9 +28,6 @@ struct LatencySummary {
   double p95_s = 0.0;
   double max_s = 0.0;
 
-  /// Nearest-rank percentiles over a sorted copy of `samples`.
-  static LatencySummary from_samples(std::vector<double> samples);
-
   /// Interpolated percentiles from a fixed-bucket histogram — the O(buckets)
   /// replacement for keeping every sample (see obs::LogHistogram).
   static LatencySummary from_histogram(const obs::LogHistogram& hist);

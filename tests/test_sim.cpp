@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -430,6 +432,60 @@ TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   EXPECT_GT(degrade.faults.load_storms, 0u);
   EXPECT_GT(degrade.degradation.transitions_up, 0u);
   EXPECT_GT(degrade.degradation.transitions_down, 0u);
+}
+
+// ---- One send vocabulary --------------------------------------------------------
+
+// Deploy plus OTA over lossy ack/retry links with two attempts per frame, so
+// every stream loses frames; a negative regression tolerance rolls every
+// canary verdict back, so rollback commands flow as well.
+FleetConfig every_stream_config() {
+  FleetConfig config = pinned_ota_config();
+  config.seed = 1;
+  config.channel.max_attempts = 2;
+  for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
+                                &config.deploy.edge_device_link,
+                                &config.deploy.core_edge_link}) {
+    link->drop_prob = 0.4;
+  }
+  config.ota.regression_tolerance = -2.0;
+  return config;
+}
+
+// Which of the six traced streams a send record belongs to. The patch stream
+// carries chunks and rollback commands down the tree (src > dst) and canary
+// probe reports up it; a command is the one downlink frame shorter than a
+// chunk's framing.
+std::string traced_stream(const obs::HopRecord& rec) {
+  if (rec.stream != obs::HopStream::kPatch) return obs::hop_stream_name(rec.stream);
+  if (rec.src < rec.dst) return "probe";
+  return rec.bytes < net::kMessageHeaderBytes + ota::kChunkFramingBytes ? "control"
+                                                                        : "chunk";
+}
+
+TEST(FleetJourneys, EveryTracedStreamSharesOneSendVocabulary) {
+  FleetSim fleet(every_stream_config());
+  fleet.run();
+  const std::set<std::string> vocabulary = {"dead_letter", "corrupt", "timeout", "dropped",
+                                            "delivered"};
+  std::map<std::string, std::size_t> sends;
+  std::map<std::string, std::size_t> timeouts;
+  for (const obs::HopRecord& rec : fleet.observatory()->journeys().snapshot()) {
+    if (rec.kind != obs::HopKind::kSend) continue;
+    const std::string stream = traced_stream(rec);
+    const std::string outcome = rec.outcome;
+    ++sends[stream];
+    // The row path's ack-mode fast-fail into a crashed receiver is its own.
+    const bool row_fast_fail = stream == "rows" && outcome == "receiver_down";
+    EXPECT_TRUE(vocabulary.count(outcome) == 1 || row_fast_fail) << stream << ": " << outcome;
+    // Every link is ack/retry: an accepted frame that never arrived timed out.
+    EXPECT_NE(outcome, "dropped") << stream;
+    if (outcome == "timeout") ++timeouts[stream];
+  }
+  for (const char* stream : {"rows", "artifact", "predictions", "chunk", "probe", "control"}) {
+    EXPECT_GT(sends[stream], 0u) << stream;
+    EXPECT_GT(timeouts[stream], 0u) << stream;
+  }
 }
 
 }  // namespace

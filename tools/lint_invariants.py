@@ -49,7 +49,12 @@ R8  transport-discipline  Direct Link transmit calls (`.transmit(` /
                           goes through net::Channel so transport policy
                           (ack/retry, backpressure, checksum accounting) is
                           applied in exactly one place. tests/ are exempt:
-                          they exercise the Link primitive directly.
+                          they exercise the Link primitive directly. In
+                          src/sim/, a channel `.send(` is allowed only inside
+                          FleetSim::transmit (every traced frame) and
+                          FleetSim::degrade_summary_flush (the untraced
+                          summary uplink), so trace ids, journey outcomes and
+                          arrival scheduling have one send path.
 R9  float-equality        Bare `==` / `!=` against a floating-point literal is
                           forbidden in tests/ and bench/ — exact comparison is
                           representation-fragile (a value recomputed through a
@@ -360,10 +365,13 @@ def check_serialization_casts(root: Path) -> list[str]:
 
 
 DIRECT_TRANSMIT = re.compile(r"(?:\.|->)\s*transmit\s*\(")
+CHANNEL_SEND = re.compile(r"(?:\.|->)\s*send\s*\(")
+SIM_SENDERS = ("FleetSim::transmit", "FleetSim::degrade_summary_flush")
 
 
 def check_transport_discipline(root: Path) -> list[str]:
-    """R8: Link::transmit calls only inside src/net/ (tests exempt)."""
+    """R8: Link::transmit calls only inside src/net/ (tests exempt), and channel
+    sends in src/sim/ only inside SIM_SENDERS."""
     problems = []
     files: list[Path] = []
     for sub in ("src", "bench", "examples"):
@@ -380,6 +388,20 @@ def check_transport_discipline(root: Path) -> list[str]:
                     f"{f.relative_to(root)}:{lineno}: R8 direct Link transmit — send "
                     f"through net::Channel (src/net/channel.hpp) so transport policy "
                     f"and accounting stay in one place"
+                )
+    sim = root / "src" / "sim"
+    sim_files = sorted(list(sim.rglob("*.cpp")) + list(sim.rglob("*.hpp"))) if sim.is_dir() else []
+    for f in sim_files:
+        code = strip_comments_and_strings(f.read_text())
+        for name in SIM_SENDERS:
+            for body in function_definition_bodies(code, name):
+                code = code.replace(body, re.sub(r"[^\n]", " ", body))
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            if CHANNEL_SEND.search(line):
+                problems.append(
+                    f"{f.relative_to(root)}:{lineno}: R8 direct channel send — route "
+                    f"traced frames through FleetSim::transmit so trace ids, journey "
+                    f"outcomes and arrival scheduling stay in one place"
                 )
     return problems
 
@@ -489,6 +511,16 @@ def self_test() -> int:
     case("R8-flag", True, {"src/sim/a.cpp": "link.transmit(msg);\n"},
          check_transport_discipline)
     case("R8-clean", False, {"src/net/channel.cpp": "link_.transmit(msg);\n"},
+         check_transport_discipline)
+    case("R8-flag-sim-channel-send", True,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::send_artifact(int to) {\n  channels_[to].send(t, b, rng);\n}\n"},
+         check_transport_discipline)
+    case("R8-clean-sim-transmit", False,
+         {"src/sim/fleet.cpp":
+          "Outcome FleetSim::transmit(Frame& f) {\n"
+          "  return channels_[f.link].send(t, f.bytes, rng);\n}\n"
+          "void FleetSim::send_artifact(int to) { transmit(frame(to)); }\n"},
          check_transport_discipline)
     case("R9-flag", True, {"tests/t.cpp": "EXPECT_TRUE(v == 5.0);\n"},
          check_float_equality)
