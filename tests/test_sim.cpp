@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -319,19 +320,23 @@ TEST(Fleet, Validation) {
 // FNV-1a-64 over the report JSON followed by the event log, one
 // newline-terminated line per event: one number that moves if any RNG draw,
 // event or ledger byte of the run moves.
+std::uint64_t fold_digest(std::uint64_t h, const std::string& s) {
+  for (const char c : s) h = fnv1a64_byte(h, static_cast<std::uint8_t>(c));
+  return h;
+}
+
+std::uint64_t run_digest(const FleetSim& fleet, const std::string& json) {
+  std::uint64_t h = fold_digest(kFnv64Basis, json);
+  for (const std::string& line : fleet.event_log()) {
+    h = fnv1a64_byte(fold_digest(h, line), '\n');
+  }
+  return h;
+}
+
 std::uint64_t run_digest(const FleetConfig& config) {
   FleetSim fleet(config);
   const std::string json = fleet.run().to_json();
-  std::uint64_t h = kFnv64Basis;
-  auto fold = [&h](const std::string& s) {
-    for (const char c : s) h = fnv1a64_byte(h, static_cast<std::uint8_t>(c));
-  };
-  fold(json);
-  for (const std::string& line : fleet.event_log()) {
-    fold(line);
-    h = fnv1a64_byte(h, '\n');
-  }
-  return h;
+  return run_digest(fleet, json);
 }
 
 // Ack/retry links under compound chaos: edge crashes (one during the deploy
@@ -432,6 +437,59 @@ TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   EXPECT_GT(degrade.faults.load_storms, 0u);
   EXPECT_GT(degrade.degradation.transitions_up, 0u);
   EXPECT_GT(degrade.degradation.transitions_down, 0u);
+}
+
+// Deploy plus OTA over fire-and-forget links where every link param makes a
+// straggler copy of 30% of deliveries, under a corruption storm, so corrupt
+// row frames are duplicated too. One OTA epoch: the loop provisions the fleet
+// with chunked patches and runs no canary, so no probe report or rollback
+// command flows.
+FleetConfig pinned_duplicate_config() {
+  FleetConfig config;
+  config.devices = 20;
+  config.edges = 2;
+  config.duration_s = 24.0;
+  config.seed = 77;
+  config.device_flush_s = 2.0;
+  config.edge_flush_s = 3.0;
+  for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
+                                &config.deploy.edge_device_link,
+                                &config.deploy.core_edge_link}) {
+    link->duplicate_prob = 0.3;
+  }
+  config.chaos.corruption_storms = 2.0;
+  config.chaos.storm_corrupt_prob = 0.3;
+  config.deploy.enabled = true;
+  config.deploy.stale_fallback = true;
+  config.ota.enabled = true;
+  config.ota.epochs = 1;
+  config.observatory.enabled = true;
+  return config;
+}
+
+TEST(FleetPin, DuplicateHeavyObservatoryIsByteIdentical) {
+  // Report, event log and journeys.jsonl, so the pin covers what every
+  // receiver decided about every arrival, straggler copies included. Pinned
+  // while receivers still deduplicated from per-node memories; re-pin only
+  // for a deliberate behaviour change.
+  FleetSim fleet(pinned_duplicate_config());
+  const FleetReport report = fleet.run();
+  std::ostringstream journeys;
+  fleet.observatory()->journeys().write_jsonl(journeys);
+  EXPECT_EQ(fold_digest(run_digest(fleet, report.to_json()), journeys.str()),
+            0x2ac4c8ccc9050e7fULL);
+
+  std::map<std::string, std::size_t> duplicates;
+  for (const obs::HopRecord& rec : fleet.observatory()->journeys().snapshot()) {
+    if (rec.kind == obs::HopKind::kArrive && std::string(rec.outcome) == "duplicate") {
+      ++duplicates[obs::hop_stream_name(rec.stream)];
+    }
+  }
+  for (const char* stream : {"rows", "artifact", "predictions"}) {
+    EXPECT_GT(duplicates[stream], 0u) << stream;
+  }
+  EXPECT_GT(report.faults.rows_corrupt_rejected, 0u);
+  EXPECT_GT(report.deploy.ota.chunks_delivered, 0u);
 }
 
 // ---- One send vocabulary --------------------------------------------------------
