@@ -220,13 +220,9 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   edge_checkpoints_.resize(config.edges);
   device_sf_.resize(config.devices);
   device_scored_.assign(config.devices, 0);
-  seen_.resize(topo_.num_nodes());
-  artifact_seen_.assign(topo_.num_nodes(), 0);
-  pred_seen_.resize(topo_.num_nodes());
   if (config.ota.enabled) {
     ota_stores_.resize(config.devices);
     ota_active_transfer_.assign(config.devices, kNoMessage);
-    ota_report_seen_.resize(topo_.num_nodes());
   }
   if (config.degrade.enabled) {
     degrade_ctrl_.reserve(config.edges);
@@ -1064,11 +1060,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
     const net::ChannelOutcome out =
         channels_[link_index].send(now_s, wire_bytes, link_rngs_[link_index]);
     if (out.accepted && out.delivered && !out.corrupted) {
-      sched_.push(out.arrival_s, EventKind::kSummaryArrival, topo_.core(), index);
-      if (out.duplicated) {
-        sched_.push(out.duplicate_arrival_s, EventKind::kSummaryArrival,
-                    topo_.core(), index);
-      }
+      schedule_arrival(out, EventKind::kSummaryArrival, topo_.core(), index);
     }
   }
 
@@ -1342,10 +1334,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
       msg.tdf_frame[msg.tdf_frame.size() / 2] ^= 0x10;
     }
     msg.checksum ^= 1;
-    sched_.push(out.arrival_s, EventKind::kCorruptArrival, to, msg.id);
-    if (out.duplicated) {
-      sched_.push(out.duplicate_arrival_s, EventKind::kCorruptArrival, to, msg.id);
-    }
+    schedule_arrival(out, EventKind::kCorruptArrival, to, msg.id);
   }
   messages_.push_back(std::move(msg));
   msg_parents_.push_back(std::move(frame.parents));
@@ -1369,21 +1358,26 @@ net::ChannelOutcome FleetSim::transmit(obs::HopRecord& frame, EventKind arrival,
                   : !out.delivered ? (ack ? "timeout" : "dropped")
                                    : "delivered";
   if (obsy_) obsy_->journeys().record(frame);
-  if (out.delivered) {
-    sched_.push(out.arrival_s, arrival, frame.dst, message);
-    if (out.duplicated) sched_.push(out.duplicate_arrival_s, arrival, frame.dst, message);
-  }
+  if (out.delivered) schedule_arrival(out, arrival, frame.dst, message);
   return out;
+}
+
+void FleetSim::schedule_arrival(const net::ChannelOutcome& out, EventKind kind,
+                                net::NodeId node, std::size_t message) {
+  sched_.push(out.arrival_s, kind, node, message);
+  if (out.duplicated) {
+    sched_.push(out.duplicate_arrival_s, kind, node, message, /*duplicate=*/true);
+  }
 }
 
 void FleetSim::handle_arrival(const Event& event) {
   const net::NodeId node = event.target;
   const net::Message& msg = messages_[event.message];
-  if (!seen_[node].insert(msg.id).second) {
+  if (event.duplicate) {
     ++report_.duplicates_discarded;
     obs::registry().counter("sim.net.duplicates_discarded").add();
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                   event.time_s, msg.payload.rows(), "duplicate");
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
+                   "duplicate");
     return;
   }
   // Receivers verify every frame: an intact arrival must re-hash to its
@@ -1395,13 +1389,13 @@ void FleetSim::handle_arrival(const Event& event) {
     // listening, and the rows die with the dead node.
     report_.faults.rows_lost_to_crash += msg.payload.rows();
     obs::registry().counter("sim.faults.rows_lost_to_crash").add(msg.payload.rows());
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                   event.time_s, msg.payload.rows(), "dead_receiver");
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
+                   "dead_receiver");
     return;
   }
   const double hop_latency_s = event.time_s - msg.sent_s;
-  journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                 event.time_s, msg.payload.rows(), "accepted");
+  journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
+                 "accepted");
   if (node == topo_.core()) {
     lat_edge_core_.record(hop_latency_s);
     for (double origin : msg.origin_s) lat_end_to_end_.record(event.time_s - origin);
@@ -1461,11 +1455,11 @@ void FleetSim::handle_arrival(const Event& event) {
 void FleetSim::handle_corrupt_arrival(const Event& event) {
   const net::NodeId node = event.target;
   const net::Message& msg = messages_[event.message];
-  if (!seen_[node].insert(msg.id).second) {
+  if (event.duplicate) {
     ++report_.duplicates_discarded;
     obs::registry().counter("sim.net.duplicates_discarded").add();
-    journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                   event.time_s, msg.payload.rows(), "duplicate");
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
+                   "duplicate");
     return;
   }
   // The receiver recomputes the checksum over what the wire delivered and
@@ -1481,8 +1475,8 @@ void FleetSim::handle_corrupt_arrival(const Event& event) {
   }
   report_.faults.rows_corrupt_rejected += msg.payload.rows();
   obs::registry().counter("sim.net.rows_corrupt_rejected").add(msg.payload.rows());
-  journey_arrive(msg.trace.id, obs::HopStream::kRows, msg.trace.hop, node,
-                 event.time_s, msg.payload.rows(), "corrupt_rejected");
+  journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
+                 "corrupt_rejected");
   if (obsy_) {
     obsy_->flight().note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
   }
@@ -1678,19 +1672,20 @@ void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
   }
 }
 
-void FleetSim::journey_arrive(std::uint64_t trace, obs::HopStream stream,
-                              std::uint32_t hop, net::NodeId node, double t_s,
-                              std::size_t rows, const char* outcome) {
+void FleetSim::journey_arrive(const Event& event, obs::HopStream stream,
+                              std::uint64_t trace, std::size_t rows,
+                              const char* outcome) {
   if (!obsy_) return;
+  const net::NodeId node = event.target;
   obs::HopRecord r;
   r.trace = trace;
-  r.hop = hop;
+  r.hop = node >= config_.devices && node != topo_.core() ? 0 : 1;
   r.kind = obs::HopKind::kArrive;
   r.stream = stream;
   r.src = node;
   r.dst = node;
-  r.t0_s = t_s;
-  r.t1_s = t_s;
+  r.t0_s = event.time_s;
+  r.t1_s = event.time_s;
   r.rows = rows;
   r.outcome = outcome;
   obsy_->journeys().record(std::move(r));
@@ -1970,19 +1965,16 @@ void FleetSim::send_artifact(net::NodeId to, double now_s) {
 
 void FleetSim::handle_artifact_arrival(const Event& event) {
   const net::NodeId node = event.target;
-  const std::uint32_t hop = node >= config_.devices ? 0 : 1;
-  if (artifact_seen_[node] != 0) {
+  if (event.duplicate) {
     obs::registry().counter("deploy.duplicates_discarded").add();
-    journey_arrive(broadcast_trace_, obs::HopStream::kArtifact, hop, node,
-                   event.time_s, 0, "duplicate");
+    journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0, "duplicate");
     return;
   }
-  artifact_seen_[node] = 1;
   if (obsy_ && topo_.node(node).up) {
     obsy_->flight().note(node, event.time_s, "rx-artifact", artifact_wire_bytes_);
   }
-  journey_arrive(broadcast_trace_, obs::HopStream::kArtifact, hop, node, event.time_s,
-                 0, topo_.node(node).up ? "accepted" : "dead_receiver");
+  journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0,
+                 topo_.node(node).up ? "accepted" : "dead_receiver");
   if (node >= config_.devices) {
     // An edge: relay the artifact to every attached device (a down edge
     // strands the broadcast; its devices end up in devices_missed).
@@ -2090,27 +2082,24 @@ void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_
 
 void FleetSim::handle_prediction_arrival(const Event& event) {
   const net::NodeId node = event.target;
-  const std::uint32_t hop = node == topo_.core() ? 1 : 0;
-  if (!pred_seen_[node].insert(event.message).second) {
+  const PredBatch& batch = pred_batches_[event.message];
+  const std::uint64_t trace = pred_traces_[event.message];
+  if (event.duplicate) {
     obs::registry().counter("deploy.duplicates_discarded").add();
-    journey_arrive(pred_traces_[event.message], obs::HopStream::kPredictions, hop,
-                   node, event.time_s, pred_batches_[event.message].rows, "duplicate");
+    journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows, "duplicate");
     return;
   }
   if (node == topo_.core()) {
-    const PredBatch& batch = pred_batches_[event.message];
     report_.deploy.predictions_delivered += batch.rows;
     report_.deploy.predictions_correct += batch.correct;
     obs::registry().counter("deploy.predictions_delivered").add(batch.rows);
-    journey_arrive(pred_traces_[event.message], obs::HopStream::kPredictions, hop,
-                   node, event.time_s, batch.rows, "accepted");
+    journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows, "accepted");
     if (obsy_) {
       obsy_->flight().note(node, event.time_s, "rx-predictions", batch.rows);
     }
     return;
   }
-  journey_arrive(pred_traces_[event.message], obs::HopStream::kPredictions, hop, node,
-                 event.time_s, pred_batches_[event.message].rows,
+  journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows,
                  topo_.node(node).up ? "accepted" : "dead_receiver");
   if (!topo_.node(node).up) return;  // stranded at a down edge
   send_predictions(node, event.message, event.time_s);
@@ -2377,11 +2366,9 @@ void FleetSim::handle_ota_chunk_arrival(const Event& event) {
   OtaTransfer& t = ota_transfers_[msg.transfer];
   const OtaRollout& ro = ota_rollouts_[t.rollout];
   OtaSummary& ota = report_.deploy.ota;
-  const std::uint32_t hop = node >= config_.devices ? 0 : 1;
 
   if (!topo_.node(node).up) {
-    journey_arrive(ro.trace, obs::HopStream::kPatch, hop, node, event.time_s, 0,
-                   "dead_receiver");
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "dead_receiver");
     return;
   }
   if (t.done || ota_active_transfer_[t.device] != msg.transfer ||
@@ -2390,14 +2377,12 @@ void FleetSim::handle_ota_chunk_arrival(const Event& event) {
     // the full image — either way the frame no longer indexes anything the
     // device wants.
     ++ota.chunks_stale;
-    journey_arrive(ro.trace, obs::HopStream::kPatch, hop, node, event.time_s, 0,
-                   "stale");
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "stale");
     return;
   }
   if (node >= config_.devices) {
     // Edge relay: one more downlink hop to the target device.
-    journey_arrive(ro.trace, obs::HopStream::kPatch, hop, node, event.time_s, 0,
-                   "accepted");
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
     send_ota_chunk_hop(topo_.device(t.device), event.message, event.time_s);
     return;
   }
@@ -2406,20 +2391,17 @@ void FleetSim::handle_ota_chunk_arrival(const Event& event) {
   switch (t.applier.accept(chunked.frame(msg.chunk))) {
     case ota::PatchApplier::Accept::kAccepted:
       ++ota.chunks_delivered;
-      journey_arrive(ro.trace, obs::HopStream::kPatch, hop, node, event.time_s,
-                     0, "accepted");
+      journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
       if (t.applier.complete()) ota_commit_device(msg.transfer, event.time_s);
       break;
     case ota::PatchApplier::Accept::kDuplicate:
       ++ota.chunk_duplicates;
-      journey_arrive(ro.trace, obs::HopStream::kPatch, hop, node, event.time_s,
-                     0, "duplicate");
+      journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "duplicate");
       break;
     case ota::PatchApplier::Accept::kChecksumMismatch:
     case ota::PatchApplier::Accept::kShapeMismatch:
       ++ota.chunks_corrupt_rejected;
-      journey_arrive(ro.trace, obs::HopStream::kPatch, hop, node, event.time_s,
-                     0, "rejected");
+      journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "rejected");
       break;
   }
 }
@@ -2503,8 +2485,7 @@ void FleetSim::send_ota_report_hop(net::NodeId from, std::size_t record,
 
 void FleetSim::handle_ota_report_arrival(const Event& event) {
   const net::NodeId node = event.target;
-  // Membership-only dedup (duplicate delivery of the same report record).
-  if (!ota_report_seen_[node].insert(event.message).second) return;
+  if (event.duplicate) return;
   if (!topo_.node(node).up) return;
   if (node != topo_.core()) {
     // Edge relay toward the core.

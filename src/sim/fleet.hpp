@@ -5,7 +5,6 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "approx/degradation.hpp"
@@ -292,10 +291,16 @@ class FleetSim {
   /// uplink, any other dst's downlink. Sends with the link's rng, allocates
   /// the trace id, fills in hop, times, attempts and the outcome — dead_letter,
   /// corrupt, timeout (ack mode) or dropped (fire-and-forget), delivered —
-  /// journals the record, and on intact delivery schedules `arrival` at dst
-  /// for `message`, then its duplicate.
+  /// journals the record, and on intact delivery schedules the arrival.
   net::ChannelOutcome transmit(obs::HopRecord& frame, EventKind arrival,
                                std::size_t message, double now_s);
+  /// Push `kind` at `node` for `message` at the outcome's arrival time, then,
+  /// when the link made a straggler copy, the same event flagged
+  /// Event::duplicate at its later time. The only reader of
+  /// duplicate_arrival_s (lint rule R8), so receivers never need a memory of
+  /// what they have seen.
+  void schedule_arrival(const net::ChannelOutcome& out, EventKind kind, net::NodeId node,
+                        std::size_t message);
   void finalize();
   int truth_label(double time_s) const;
 
@@ -384,9 +389,11 @@ class FleetSim {
   void finalize_degradation();
 
   // Observatory wiring (all no-ops when obsy_ is empty; see DESIGN.md §13).
-  void journey_arrive(std::uint64_t trace, obs::HopStream stream, std::uint32_t hop,
-                      net::NodeId node, double t_s, std::size_t rows,
-                      const char* outcome);
+  /// Journal what the receiver did with `event`'s arrival. Node and time come
+  /// from the event; every hop starts or ends at an edge, so an arrival at an
+  /// edge is hop 0 and one anywhere else hop 1.
+  void journey_arrive(const Event& event, obs::HopStream stream, std::uint64_t trace,
+                      std::size_t rows, const char* outcome);
   void flight_dump(net::NodeId entity, const char* trigger, double t_s);
 
   FleetConfig config_;
@@ -417,8 +424,6 @@ class FleetSim {
   std::vector<std::vector<std::uint64_t>> msg_parents_;
   std::vector<Buffer> edge_buffers_;
   Buffer core_buffer_;
-  // det-sanctioned: membership-only dedup set per node, never iterated
-  std::vector<std::unordered_set<std::uint64_t>> seen_;
 
   /// Per-tier virtual-latency distributions at fixed memory — the
   /// observatory's replacement for an unbounded per-sample vector.
@@ -466,9 +471,6 @@ class FleetSim {
   std::vector<PredBatch> pred_batches_;
   std::vector<std::uint64_t> pred_traces_;  ///< batch trace ids, parallel
   std::uint64_t broadcast_trace_ = 0;       ///< deploy broadcast trace id
-  std::vector<std::uint8_t> artifact_seen_;  ///< dedup duplicate broadcasts
-  // det-sanctioned: membership-only dedup set per edge, never iterated
-  std::vector<std::unordered_set<std::uint64_t>> pred_seen_;
 
   deploy::CompiledModel stale_model_;  ///< prior epoch's artifact (fallback)
   std::optional<deploy::DeviceRuntime> stale_runtime_;
@@ -535,8 +537,6 @@ class FleetSim {
   std::vector<OtaChunkMsg> ota_chunk_msgs_;
   std::vector<OtaReportMsg> ota_report_msgs_;
   std::vector<OtaControlMsg> ota_control_msgs_;
-  // det-sanctioned: membership-only dedup set per node, never iterated
-  std::vector<std::unordered_set<std::uint64_t>> ota_report_seen_;
 
   std::vector<ota::DeviceImageStore> ota_stores_;  ///< per device
   ota::VersionChain ota_chain_;                    ///< promoted versions only

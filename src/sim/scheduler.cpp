@@ -45,9 +45,9 @@ std::string event_kind_name(EventKind kind) {
 }
 
 void Scheduler::push(double time_s, EventKind kind, std::size_t target,
-                     std::size_t message) {
+                     std::size_t message, bool duplicate) {
   IOTML_CHECK(time_s >= now_s_, "Scheduler::push: event scheduled into the past");
-  queue_.push({time_s, next_seq_++, kind, target, message});
+  queue_.push({time_s, next_seq_++, kind, duplicate, target, message});
 }
 
 Event Scheduler::pop() {

@@ -57,9 +57,15 @@ struct Event {
   double time_s = 0.0;
   std::uint64_t seq = 0;  ///< push order; breaks timestamp ties FIFO
   EventKind kind = EventKind::kDeviceFlush;
+  /// A link's straggler copy of an arrival already scheduled for the same
+  /// message (it lands later, so it always pops second). Set only by the
+  /// sender that schedules the copy; receivers discard on it instead of
+  /// remembering what they have seen. Sits in the padding after `kind`.
+  bool duplicate = false;
   std::size_t target = 0;             ///< node id (link index for link faults)
   std::size_t message = kNoMessage;   ///< message store index for kArrival
 };
+static_assert(sizeof(Event) == 40, "Event::duplicate must fit the padding after kind");
 
 /// Deterministic discrete-event queue over a virtual clock. Events pop in
 /// (time, push-order) order, so equal timestamps resolve FIFO and a run is
@@ -71,7 +77,7 @@ class Scheduler {
   /// Throws InvalidArgument if `time_s` precedes the current virtual time
   /// (an event cannot be scheduled into the past).
   void push(double time_s, EventKind kind, std::size_t target,
-            std::size_t message = kNoMessage);
+            std::size_t message = kNoMessage, bool duplicate = false);
 
   bool empty() const noexcept { return queue_.empty(); }
   std::size_t pending() const noexcept { return queue_.size(); }

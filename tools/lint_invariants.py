@@ -54,7 +54,11 @@ R8  transport-discipline  Direct Link transmit calls (`.transmit(` /
                           FleetSim::transmit (every traced frame) and
                           FleetSim::degrade_summary_flush (the untraced
                           summary uplink), so trace ids, journey outcomes and
-                          arrival scheduling have one send path.
+                          arrival scheduling have one send path; and a
+                          ChannelOutcome's `duplicate_arrival_s` is read only
+                          inside FleetSim::schedule_arrival, the one place
+                          that schedules a link's straggler copy and flags it
+                          Event::duplicate for the receiver.
 R9  float-equality        Bare `==` / `!=` against a floating-point literal is
                           forbidden in tests/ and bench/ — exact comparison is
                           representation-fragile (a value recomputed through a
@@ -367,11 +371,22 @@ def check_serialization_casts(root: Path) -> list[str]:
 DIRECT_TRANSMIT = re.compile(r"(?:\.|->)\s*transmit\s*\(")
 CHANNEL_SEND = re.compile(r"(?:\.|->)\s*send\s*\(")
 SIM_SENDERS = ("FleetSim::transmit", "FleetSim::degrade_summary_flush")
+DUPLICATE_READ = re.compile(r"\bduplicate_arrival_s\b")
+SIM_STRAGGLER_SCHEDULERS = ("FleetSim::schedule_arrival",)
+
+
+def blank_definitions(code: str, names: tuple[str, ...]) -> str:
+    """Blank the bodies of definitions of `names`, preserving line numbers."""
+    for name in names:
+        for body in function_definition_bodies(code, name):
+            code = code.replace(body, re.sub(r"[^\n]", " ", body))
+    return code
 
 
 def check_transport_discipline(root: Path) -> list[str]:
-    """R8: Link::transmit calls only inside src/net/ (tests exempt), and channel
-    sends in src/sim/ only inside SIM_SENDERS."""
+    """R8: Link::transmit calls only inside src/net/ (tests exempt), channel
+    sends in src/sim/ only inside SIM_SENDERS, and straggler arrival times in
+    src/sim/ read only inside SIM_STRAGGLER_SCHEDULERS."""
     problems = []
     files: list[Path] = []
     for sub in ("src", "bench", "examples"):
@@ -393,15 +408,21 @@ def check_transport_discipline(root: Path) -> list[str]:
     sim_files = sorted(list(sim.rglob("*.cpp")) + list(sim.rglob("*.hpp"))) if sim.is_dir() else []
     for f in sim_files:
         code = strip_comments_and_strings(f.read_text())
-        for name in SIM_SENDERS:
-            for body in function_definition_bodies(code, name):
-                code = code.replace(body, re.sub(r"[^\n]", " ", body))
-        for lineno, line in enumerate(code.splitlines(), start=1):
+        sends = blank_definitions(code, SIM_SENDERS)
+        for lineno, line in enumerate(sends.splitlines(), start=1):
             if CHANNEL_SEND.search(line):
                 problems.append(
                     f"{f.relative_to(root)}:{lineno}: R8 direct channel send — route "
                     f"traced frames through FleetSim::transmit so trace ids, journey "
                     f"outcomes and arrival scheduling stay in one place"
+                )
+        reads = blank_definitions(code, SIM_STRAGGLER_SCHEDULERS)
+        for lineno, line in enumerate(reads.splitlines(), start=1):
+            if DUPLICATE_READ.search(line):
+                problems.append(
+                    f"{f.relative_to(root)}:{lineno}: R8 straggler copy scheduled "
+                    f"outside FleetSim::schedule_arrival — call it, so the copy is "
+                    f"flagged Event::duplicate and receivers keep no dedup memory"
                 )
     return problems
 
@@ -521,6 +542,17 @@ def self_test() -> int:
           "Outcome FleetSim::transmit(Frame& f) {\n"
           "  return channels_[f.link].send(t, f.bytes, rng);\n}\n"
           "void FleetSim::send_artifact(int to) { transmit(frame(to)); }\n"},
+         check_transport_discipline)
+    case("R8-flag-sim-straggler-read", True,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::send(int to) {\n"
+          "  if (out.duplicated) sched_.push(out.duplicate_arrival_s, k, to, m);\n}\n"},
+         check_transport_discipline)
+    case("R8-clean-sim-schedule-arrival", False,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::schedule_arrival(const Outcome& out, int k, int to, int m) {\n"
+          "  if (out.duplicated) sched_.push(out.duplicate_arrival_s, k, to, m, true);\n}\n"
+          "void FleetSim::send(int to) { schedule_arrival(out, k, to, m); }\n"},
          check_transport_discipline)
     case("R9-flag", True, {"tests/t.cpp": "EXPECT_TRUE(v == 5.0);\n"},
          check_float_equality)
