@@ -395,6 +395,15 @@ FleetReport FleetSim::run() {
   if (config_.deploy.enabled) run_deploy_phase();
   if (config_.ota.enabled) finalize_ota();
 
+  // Stranded rows are booked last: the deploy phase can still crash an edge
+  // (chaos crash_during_broadcast), which books the rows it had not persisted
+  // as lost to the crash and restores only the checkpoint.
+  for (const Buffer& buf : edge_buffers_) report_.rows_stranded += buf.row_count;
+  // Undrained store-and-forward backlog is the device-side mirror of an
+  // edge's stranded buffer.
+  for (std::size_t dvc = 0; dvc < config_.devices; ++dvc) {
+    report_.rows_stranded += stored_rows(dvc);
+  }
   report_.events = sched_.processed();
   for (std::size_t l = 0; l < topo_.num_links(); ++l) {
     report_.links.push_back({topo_.link(l).name(), topo_.link(l).stats()});
@@ -1712,12 +1721,6 @@ void FleetSim::finalize() {
       report_.telemetry.log_highwater_bytes = std::max<std::uint64_t>(
           report_.telemetry.log_highwater_bytes, log.highwater_bytes());
     }
-  }
-  for (const Buffer& buf : edge_buffers_) report_.rows_stranded += buf.row_count;
-  // Undrained store-and-forward backlog is the device-side mirror of an
-  // edge's stranded buffer.
-  for (std::size_t dvc = 0; dvc < config_.devices; ++dvc) {
-    report_.rows_stranded += stored_rows(dvc);
   }
   // Deploy runs keep post-window rows on-device for local scoring; they are
   // accounted as retained, not lost.

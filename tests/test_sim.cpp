@@ -492,6 +492,30 @@ TEST(FleetPin, DuplicateHeavyObservatoryIsByteIdentical) {
   EXPECT_GT(report.deploy.ota.chunks_delivered, 0u);
 }
 
+// ---- Row conservation through the deploy phase -------------------------------
+
+TEST(Fleet, BroadcastCrashBooksUnpersistedRowsOnce) {
+  // The chaos edge crash at the deploy broadcast wipes rows the edge had not
+  // checkpointed. They are lost to the crash and must not also count as
+  // stranded in the buffer the crash wiped. Lossy ack links with two
+  // attempts leave rows in edge buffers when the broadcast starts.
+  for (const std::uint64_t seed : {3, 31}) {
+    FleetConfig config = pinned_ota_config();
+    config.seed = seed;
+    config.channel.max_attempts = 2;
+    for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
+                                  &config.deploy.edge_device_link,
+                                  &config.deploy.core_edge_link}) {
+      link->drop_prob = 0.4;
+    }
+    FleetSim fleet(config);
+    FleetReport report;
+    ASSERT_NO_THROW(report = fleet.run()) << "seed " << seed;
+    EXPECT_TRUE(report.rows_conserved()) << "seed " << seed;
+    EXPECT_GT(report.faults.rows_lost_to_crash, 0u) << "seed " << seed;
+  }
+}
+
 // ---- One send vocabulary --------------------------------------------------------
 
 // Deploy plus OTA over lossy ack/retry links with two attempts per frame, so
