@@ -2488,16 +2488,24 @@ void FleetSim::send_ota_report_hop(net::NodeId from, std::size_t record,
 
 void FleetSim::handle_ota_report_arrival(const Event& event) {
   const net::NodeId node = event.target;
-  if (event.duplicate) return;
-  if (!topo_.node(node).up) return;
+  const OtaReportMsg& msg = ota_report_msgs_[event.message];
+  OtaRollout& ro = ota_rollouts_[msg.rollout];
+  if (event.duplicate || !topo_.node(node).up) {
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0,
+                   event.duplicate ? "duplicate" : "dead_receiver");
+    return;
+  }
   if (node != topo_.core()) {
     // Edge relay toward the core.
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
     send_ota_report_hop(node, event.message, event.time_s);
     return;
   }
-  const OtaReportMsg& msg = ota_report_msgs_[event.message];
-  OtaRollout& ro = ota_rollouts_[msg.rollout];
-  if (ro.verdict_issued) return;  // late probe, verdict already out
+  if (ro.verdict_issued) {  // late probe, verdict already out
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "stale");
+    return;
+  }
+  journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
   ro.probes.push_back(msg.probe);
 }
 
@@ -2664,17 +2672,27 @@ void FleetSim::send_ota_control_hop(net::NodeId to, std::size_t record,
 
 void FleetSim::handle_ota_control_arrival(const Event& event) {
   const net::NodeId node = event.target;
-  if (!topo_.node(node).up) return;
   const OtaControlMsg& msg = ota_control_msgs_[event.message];
+  const OtaRollout& ro = ota_rollouts_[msg.rollout];
+  if (!topo_.node(node).up) {
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "dead_receiver");
+    return;
+  }
   if (node >= config_.devices) {
+    // Edge relay, straggler copies included: the device's revert is idempotent.
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
     send_ota_control_hop(topo_.device(msg.device), event.message, event.time_s);
     return;
   }
   // Idempotent by construction: only a device still running the rolled-back
   // version reverts, so duplicate or late commands are no-ops.
-  const OtaRollout& ro = ota_rollouts_[msg.rollout];
   ota::DeviceImageStore& store = ota_stores_[msg.device];
-  if (store.current_id() != ro.version_id || !store.has_previous()) return;
+  if (store.current_id() != ro.version_id || !store.has_previous()) {
+    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0,
+                   event.duplicate ? "duplicate" : "stale");
+    return;
+  }
+  journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
   store.rollback();
   ++report_.deploy.ota.epochs_log[ro.entry].devices_rolled_back;
   obs::registry().counter("ota.device_rollbacks").add();

@@ -570,5 +570,58 @@ TEST(FleetJourneys, EveryTracedStreamSharesOneSendVocabulary) {
   }
 }
 
+TEST(FleetJourneys, EveryTracedStreamSharesOneArriveVocabulary) {
+  // Straggler copies on every link, so duplicates reach every receiver.
+  FleetConfig config = every_stream_config();
+  for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
+                                &config.deploy.edge_device_link,
+                                &config.deploy.core_edge_link}) {
+    link->duplicate_prob = 0.3;
+  }
+  FleetSim fleet(config);
+  fleet.run();
+  // Every traced arrival event journals exactly one arrive record, in event
+  // order, so the event log names the stream of each record.
+  const std::map<std::string, std::string> stream_of = {
+      {"arrival", "rows"},           {"corrupt-arrival", "rows"},
+      {"artifact-arrival", "artifact"}, {"prediction-arrival", "predictions"},
+      {"ota-chunk-arrival", "chunk"}, {"ota-report-arrival", "probe"},
+      {"ota-control-arrival", "control"}};
+  std::vector<std::string> arrivals;
+  for (const std::string& line : fleet.event_log()) {
+    std::istringstream in(line);
+    std::string time, seq, kind;
+    in >> time >> seq >> kind;
+    const auto it = stream_of.find(kind);
+    if (it != stream_of.end()) arrivals.push_back(it->second);
+  }
+  std::vector<obs::HopRecord> arrives;
+  for (obs::HopRecord& rec : fleet.observatory()->journeys().snapshot()) {
+    if (rec.kind == obs::HopKind::kArrive) arrives.push_back(std::move(rec));
+  }
+  ASSERT_EQ(arrives.size(), arrivals.size())
+      << "each traced arrival event must journal exactly one arrive record";
+
+  const std::set<std::string> vocabulary = {"accepted", "duplicate", "dead_receiver",
+                                            "stale"};
+  std::map<std::string, std::map<std::string, std::size_t>> outcomes;
+  for (std::size_t i = 0; i < arrives.size(); ++i) {
+    const std::string& stream = arrivals[i];
+    const std::string outcome = arrives[i].outcome;
+    ++outcomes[stream][outcome];
+    // Each stream keeps its own integrity rejection: rows fail the payload
+    // checksum, chunks the patch applier's.
+    const bool rejection = (stream == "rows" && outcome == "corrupt_rejected") ||
+                           (stream == "chunk" && outcome == "rejected");
+    EXPECT_TRUE(vocabulary.count(outcome) == 1 || rejection) << stream << ": " << outcome;
+  }
+  for (const char* stream : {"rows", "artifact", "predictions", "chunk", "probe", "control"}) {
+    EXPECT_GT(outcomes[stream]["accepted"], 0u) << stream;
+  }
+  for (const char* stream : {"rows", "artifact", "predictions", "probe"}) {
+    EXPECT_GT(outcomes[stream]["duplicate"], 0u) << stream;
+  }
+}
+
 }  // namespace
 }  // namespace iotml::sim
