@@ -72,7 +72,7 @@ RunResult run(const sim::FleetConfig& config) {
                          static_cast<double>(r.report.rows_generated)
                    : 0.0;
   r.accuracy = r.report.accuracy;
-  r.p95_s = r.report.latency.p95_s;
+  r.p95_s = r.report.latency_tiers.at("end-to-end").summary.p95_s;
   r.conserved = r.report.rows_conserved();
   return r;
 }

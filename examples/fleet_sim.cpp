@@ -98,9 +98,10 @@ int main() {
               static_cast<unsigned long long>(report.messages_dropped),
               static_cast<unsigned long long>(report.duplicates_discarded),
               static_cast<unsigned long long>(report.events));
+  const sim::LatencySummary& e2e = report.latency_tiers.at("end-to-end").summary;
   std::printf("end-to-end latency (virtual): mean=%.2fs p50=%.2fs p95=%.2fs max=%.2fs (n=%llu)\n",
-              report.latency.mean_s, report.latency.p50_s, report.latency.p95_s,
-              report.latency.max_s, static_cast<unsigned long long>(report.latency.count));
+              e2e.mean_s, e2e.p50_s, e2e.p95_s, e2e.max_s,
+              static_cast<unsigned long long>(e2e.count));
   std::printf("core analytics: accuracy=%.3f (train=%zu rows, test=%zu rows)\n\n",
               report.accuracy, report.train_rows, report.test_rows);
 

@@ -420,7 +420,6 @@ FleetReport FleetSim::run() {
     report_.channels.dead_letters += s.dead_letters;
     report_.channels.corrupt_rejected += s.corrupt_rejected;
   }
-  report_.latency = LatencySummary::from_histogram(lat_end_to_end_);
   report_.latency_tiers["device-edge"] = LatencyBreakdown::from_histogram(lat_device_edge_);
   report_.latency_tiers["edge-core"] = LatencyBreakdown::from_histogram(lat_edge_core_);
   report_.latency_tiers["end-to-end"] = LatencyBreakdown::from_histogram(lat_end_to_end_);

@@ -6,19 +6,13 @@
 
 namespace iotml::sim {
 
-LatencySummary LatencySummary::from_histogram(const obs::LogHistogram& hist) {
-  LatencySummary s;
-  s.count = hist.count();
-  s.mean_s = hist.mean();
-  s.p50_s = hist.quantile(0.50);
-  s.p95_s = hist.quantile(0.95);
-  s.max_s = hist.max();
-  return s;
-}
-
 LatencyBreakdown LatencyBreakdown::from_histogram(const obs::LogHistogram& hist) {
   LatencyBreakdown b;
-  b.summary = LatencySummary::from_histogram(hist);
+  b.summary = {.count = hist.count(),
+               .mean_s = hist.mean(),
+               .p50_s = hist.quantile(0.50),
+               .p95_s = hist.quantile(0.95),
+               .max_s = hist.max()};
   b.bounds_s = hist.bounds();
   b.counts = hist.buckets();
   return b;
@@ -295,6 +289,9 @@ std::string FleetReport::to_json() const {
   }
   out << "\n  },\n";
 
+  const auto e2e = latency_tiers.find("end-to-end");
+  const LatencySummary latency =
+      e2e == latency_tiers.end() ? LatencySummary{} : e2e->second.summary;
   out << "  \"latency\": {\"count\": " << latency.count
       << ", \"mean_s\": " << json_number(latency.mean_s)
       << ", \"p50_s\": " << json_number(latency.p50_s)

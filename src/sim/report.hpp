@@ -19,18 +19,13 @@ struct LinkReport {
   net::LinkStats stats;
 };
 
-/// Deterministic summary of the end-to-end (device flush -> core arrival)
-/// virtual-latency distribution.
+/// Deterministic summary of one virtual-latency distribution.
 struct LatencySummary {
   std::uint64_t count = 0;
   double mean_s = 0.0;
   double p50_s = 0.0;
   double p95_s = 0.0;
   double max_s = 0.0;
-
-  /// Interpolated percentiles from a fixed-bucket histogram — the O(buckets)
-  /// replacement for keeping every sample (see obs::LogHistogram).
-  static LatencySummary from_histogram(const obs::LogHistogram& hist);
 };
 
 /// Per-tier latency distribution: the summary plus the log-scale bucket
@@ -42,6 +37,8 @@ struct LatencyBreakdown {
   std::vector<double> bounds_s;
   std::vector<std::uint64_t> counts;
 
+  /// Interpolated percentiles from a fixed-bucket histogram — the O(buckets)
+  /// replacement for keeping every sample (see obs::LogHistogram).
   static LatencyBreakdown from_histogram(const obs::LogHistogram& hist);
 };
 
@@ -428,11 +425,11 @@ struct FleetReport {
 
   std::vector<pipeline::StageReport> stage_reports;  ///< every stage run, in order
   std::vector<LinkReport> links;
-  LatencySummary latency;  ///< end-to-end, mirror of latency_tiers["end-to-end"]
 
   /// Per-tier latency distributions keyed "device-edge", "edge-core",
   /// "end-to-end" — per-hop virtual wire latency and the full
-  /// flush-to-core journey, each a fixed-size bucket table.
+  /// flush-to-core journey, each a fixed-size bucket table. The JSON
+  /// "latency" block renders the "end-to-end" summary.
   std::map<std::string, LatencyBreakdown> latency_tiers;
 
   double accuracy = 0.0;  ///< core analytics on the delivered records
