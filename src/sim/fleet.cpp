@@ -459,6 +459,7 @@ void FleetSim::handle(const Event& event) {
       handle_edge_flush(event.target - config_.devices, event.time_s);
       break;
     case EventKind::kArrival:
+    case EventKind::kCorruptArrival:
       handle_arrival(event);
       break;
     case EventKind::kLinkDown:
@@ -532,9 +533,6 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kCheckpoint:
       handle_checkpoint(event.target);
-      break;
-    case EventKind::kCorruptArrival:
-      handle_corrupt_arrival(event);
       break;
     case EventKind::kOtaEpoch:
       handle_ota_epoch(event);
@@ -1388,8 +1386,29 @@ void FleetSim::handle_arrival(const Event& event) {
                    "duplicate");
     return;
   }
+  if (event.kind == EventKind::kCorruptArrival) {
+    // The receiver recomputes the checksum over what the wire delivered and
+    // rejects the frame on mismatch: corrupt rows are counted, never scored.
+    IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) != msg.checksum,
+                         "FleetSim: corrupt arrival passed checksum verification");
+    if (!msg.tdf_frame.empty()) {
+      // The damage lives in the frame bytes: the trailer checksum must catch
+      // it before a decode is even attempted.
+      IOTML_INTERNAL_CHECK(!tdf::frame_intact(msg.tdf_frame),
+                           "FleetSim: corrupt TDF frame passed its trailer check");
+      ++report_.telemetry.frames_rejected;
+    }
+    report_.faults.rows_corrupt_rejected += msg.payload.rows();
+    obs::registry().counter("sim.net.rows_corrupt_rejected").add(msg.payload.rows());
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
+                   "corrupt_rejected");
+    if (obsy_) {
+      obsy_->flight().note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
+    }
+    return;
+  }
   // Receivers verify every frame: an intact arrival must re-hash to its
-  // stamped checksum (corrupt frames come in as kCorruptArrival instead).
+  // stamped checksum.
   IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) == msg.checksum,
                        "FleetSim: intact arrival failed checksum verification");
   if (!topo_.node(node).up) {
@@ -1457,36 +1476,6 @@ void FleetSim::handle_arrival(const Event& event) {
                             msg.payload.rows()});
     }
     buf.row_count += msg.payload.rows();
-  }
-}
-
-void FleetSim::handle_corrupt_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  const net::Message& msg = messages_[event.message];
-  if (event.duplicate) {
-    ++report_.duplicates_discarded;
-    obs::registry().counter("sim.net.duplicates_discarded").add();
-    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
-                   "duplicate");
-    return;
-  }
-  // The receiver recomputes the checksum over what the wire delivered and
-  // rejects the frame on mismatch: corrupt rows are counted, never scored.
-  IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) != msg.checksum,
-                       "FleetSim: corrupt arrival passed checksum verification");
-  if (!msg.tdf_frame.empty()) {
-    // The damage lives in the frame bytes: the trailer checksum must catch
-    // it before a decode is even attempted.
-    IOTML_INTERNAL_CHECK(!tdf::frame_intact(msg.tdf_frame),
-                         "FleetSim: corrupt TDF frame passed its trailer check");
-    ++report_.telemetry.frames_rejected;
-  }
-  report_.faults.rows_corrupt_rejected += msg.payload.rows();
-  obs::registry().counter("sim.net.rows_corrupt_rejected").add(msg.payload.rows());
-  journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
-                 "corrupt_rejected");
-  if (obsy_) {
-    obsy_->flight().note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
   }
 }
 

@@ -282,8 +282,8 @@ class FleetSim {
   void handle(const Event& event);
   void handle_device_flush(const Event& event);
   void handle_edge_flush(std::size_t edge_index, double now_s);
+  /// A row frame lands: kArrival intact, kCorruptArrival failing its checksum.
   void handle_arrival(const Event& event);
-  void handle_corrupt_arrival(const Event& event);
   void send(net::NodeId from, Buffer&& chunk, double now_s);
   /// The one send path for traced frames (DESIGN.md §9). The caller fills
   /// `frame`'s src, dst, stream, rows, bytes and parents. A frame climbing
@@ -294,11 +294,9 @@ class FleetSim {
   /// journals the record, and on intact delivery schedules the arrival.
   net::ChannelOutcome transmit(obs::HopRecord& frame, EventKind arrival,
                                std::size_t message, double now_s);
-  /// Push `kind` at `node` for `message` at the outcome's arrival time, then,
-  /// when the link made a straggler copy, the same event flagged
-  /// Event::duplicate at its later time. The only reader of
-  /// duplicate_arrival_s (lint rule R8), so receivers never need a memory of
-  /// what they have seen.
+  /// Push `kind` at `node` for `message` at the outcome's arrival time, then
+  /// the link's straggler copy, if any, flagged Event::duplicate. The only
+  /// reader of duplicate_arrival_s (lint rule R8).
   void schedule_arrival(const net::ChannelOutcome& out, EventKind kind, net::NodeId node,
                         std::size_t message);
   void finalize();

@@ -58,9 +58,7 @@ struct Event {
   std::uint64_t seq = 0;  ///< push order; breaks timestamp ties FIFO
   EventKind kind = EventKind::kDeviceFlush;
   /// A link's straggler copy of an arrival already scheduled for the same
-  /// message (it lands later, so it always pops second). Set only by the
-  /// sender that schedules the copy; receivers discard on it instead of
-  /// remembering what they have seen. Sits in the padding after `kind`.
+  /// message; it always pops second, so receivers discard on it.
   bool duplicate = false;
   std::size_t target = 0;             ///< node id (link index for link faults)
   std::size_t message = kNoMessage;   ///< message store index for kArrival
