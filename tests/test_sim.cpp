@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <sstream>
@@ -363,6 +364,12 @@ void enable_ack_chaos(FleetConfig& config) {
   config.chaos.crash_during_broadcast = true;
 }
 
+// The four link params of a deploy fleet: both uplinks and both downlinks.
+std::array<net::LinkParams*, 4> all_links(FleetConfig& config) {
+  return {&config.device_edge_link, &config.edge_core_link,
+          &config.deploy.edge_device_link, &config.deploy.core_edge_link};
+}
+
 // Deploy plus the OTA loop over ack/retry links under compound chaos, with
 // the observatory on, so flight dumps (and the trace ids they carry) reach
 // the report.
@@ -452,11 +459,7 @@ FleetConfig pinned_duplicate_config() {
   config.seed = 77;
   config.device_flush_s = 2.0;
   config.edge_flush_s = 3.0;
-  for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
-                                &config.deploy.edge_device_link,
-                                &config.deploy.core_edge_link}) {
-    link->duplicate_prob = 0.3;
-  }
+  for (net::LinkParams* link : all_links(config)) link->duplicate_prob = 0.3;
   config.chaos.corruption_storms = 2.0;
   config.chaos.storm_corrupt_prob = 0.3;
   config.deploy.enabled = true;
@@ -494,21 +497,23 @@ TEST(FleetPin, DuplicateHeavyObservatoryIsByteIdentical) {
 
 // ---- Row conservation through the deploy phase -------------------------------
 
+// Deploy plus OTA over lossy ack/retry links with two attempts per frame, so
+// every stream loses frames and edges still hold rows when the broadcast
+// starts.
+FleetConfig lossy_ota_config(std::uint64_t seed) {
+  FleetConfig config = pinned_ota_config();
+  config.seed = seed;
+  config.channel.max_attempts = 2;
+  for (net::LinkParams* link : all_links(config)) link->drop_prob = 0.4;
+  return config;
+}
+
 TEST(Fleet, BroadcastCrashBooksUnpersistedRowsOnce) {
   // The chaos edge crash at the deploy broadcast wipes rows the edge had not
   // checkpointed. They are lost to the crash and must not also count as
-  // stranded in the buffer the crash wiped. Lossy ack links with two
-  // attempts leave rows in edge buffers when the broadcast starts.
+  // stranded in the buffer the crash wiped.
   for (const std::uint64_t seed : {3, 31}) {
-    FleetConfig config = pinned_ota_config();
-    config.seed = seed;
-    config.channel.max_attempts = 2;
-    for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
-                                  &config.deploy.edge_device_link,
-                                  &config.deploy.core_edge_link}) {
-      link->drop_prob = 0.4;
-    }
-    FleetSim fleet(config);
+    FleetSim fleet(lossy_ota_config(seed));
     FleetReport report;
     ASSERT_NO_THROW(report = fleet.run()) << "seed " << seed;
     EXPECT_TRUE(report.rows_conserved()) << "seed " << seed;
@@ -518,18 +523,10 @@ TEST(Fleet, BroadcastCrashBooksUnpersistedRowsOnce) {
 
 // ---- One send vocabulary --------------------------------------------------------
 
-// Deploy plus OTA over lossy ack/retry links with two attempts per frame, so
-// every stream loses frames; a negative regression tolerance rolls every
-// canary verdict back, so rollback commands flow as well.
+// A lossy fleet where a negative regression tolerance rolls every canary
+// verdict back, so rollback commands flow as well.
 FleetConfig every_stream_config() {
-  FleetConfig config = pinned_ota_config();
-  config.seed = 1;
-  config.channel.max_attempts = 2;
-  for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
-                                &config.deploy.edge_device_link,
-                                &config.deploy.core_edge_link}) {
-    link->drop_prob = 0.4;
-  }
+  FleetConfig config = lossy_ota_config(1);
   config.ota.regression_tolerance = -2.0;
   return config;
 }
@@ -573,11 +570,7 @@ TEST(FleetJourneys, EveryTracedStreamSharesOneSendVocabulary) {
 TEST(FleetJourneys, EveryTracedStreamSharesOneArriveVocabulary) {
   // Straggler copies on every link, so duplicates reach every receiver.
   FleetConfig config = every_stream_config();
-  for (net::LinkParams* link : {&config.device_edge_link, &config.edge_core_link,
-                                &config.deploy.edge_device_link,
-                                &config.deploy.core_edge_link}) {
-    link->duplicate_prob = 0.3;
-  }
+  for (net::LinkParams* link : all_links(config)) link->duplicate_prob = 0.3;
   FleetSim fleet(config);
   fleet.run();
   // Every traced arrival event journals exactly one arrive record, in event
