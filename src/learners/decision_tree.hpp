@@ -71,6 +71,7 @@ class DecisionTree final : public Classifier {
 
  private:
   struct Node;
+  class Builder;  // one fit's split search (decision_tree.cpp)
   DecisionTreeParams params_;
   std::unique_ptr<Node> root_;
   int default_class_ = 0;
@@ -79,8 +80,6 @@ class DecisionTree final : public Classifier {
   /// interned per dataset and are not stable across datasets.
   std::vector<std::vector<std::string>> train_categories_;
 
-  std::unique_ptr<Node> build(const data::Dataset& ds,
-                              const std::vector<std::size_t>& rows, std::size_t depth);
   std::size_t flatten(const Node& node, std::vector<ExportedTreeNode>& out) const;
 };
 

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "data/synthetic.hpp"
 #include "learners/decision_tree.hpp"
 #include "learners/knn.hpp"
 #include "learners/logistic.hpp"
 #include "learners/naive_bayes.hpp"
 #include "learners/pattern_ensemble.hpp"
+#include "obs/obs.hpp"
+#include "tree_oracle.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -114,6 +123,206 @@ TEST(DecisionTreeTest, Validation) {
   EXPECT_THROW(DecisionTree(DecisionTreeParams{.max_depth = 0}), InvalidArgument);
   Dataset probe = make_phone_fleet_paper();
   EXPECT_THROW(tree.predict_row(probe, 0), InvalidArgument);  // not fitted
+}
+
+/// How a random numeric column draws its values.
+enum class ValueShape {
+  kGrid,     ///< a few small integers and both signed zeros: many ties
+  kNormal,   ///< continuous, almost surely distinct
+  kUlp,      ///< a base value plus 0..5 ulps: midpoints that round to `hi`
+  kExtreme,  ///< near-overflow magnitudes and infinities
+};
+
+double draw_value(ValueShape shape, double base, Rng& rng) {
+  switch (shape) {
+    case ValueShape::kGrid: {
+      const int v = rng.uniform_int(-2, 2);
+      return v == 0 && rng.bernoulli(0.5) ? -0.0 : static_cast<double>(v);
+    }
+    case ValueShape::kNormal:
+      return rng.normal(0.0, 3.0);
+    case ValueShape::kUlp: {
+      double v = base;
+      for (int k = rng.uniform_int(0, 5); k > 0; --k) {
+        v = std::nextafter(v, std::numeric_limits<double>::infinity());
+      }
+      return v;
+    }
+    case ValueShape::kExtreme: {
+      constexpr double kBig = std::numeric_limits<double>::max();
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      const double picks[] = {-kInf, -kBig, -0.75 * kBig, -1.0, 0.0,
+                              0.5 * kBig, 0.9 * kBig, kBig, kInf};
+      return picks[rng.index(std::size(picks))];
+    }
+  }
+  return 0.0;
+}
+
+/// Seeded random dataset for the oracle comparison: 1-5 numeric and
+/// categorical features, missing cells, categories that no row uses, and
+/// non-contiguous labels that depend on the first feature (so trees grow)
+/// plus label noise (so they stay impure). Duplicated columns give tied
+/// gains across features.
+Dataset random_tree_dataset(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = 2 + rng.index(180);
+  const std::size_t features = 1 + rng.index(5);
+  const double missing_rate = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 0.4);
+  const std::vector<int> label_pool{0, 3, 7, 1000, 42, 99999};
+  const std::size_t num_labels = 2 + rng.index(label_pool.size() - 1);
+
+  Dataset ds;
+  for (std::size_t f = 0; f < features; ++f) {
+    const std::string name = "f" + std::to_string(f);
+    if (f > 0 && rng.bernoulli(0.15)) {
+      // Copy an earlier column cell for cell: every gain ties with it.
+      const data::Column& src = ds.column(rng.index(f));
+      data::Column& dst = src.type() == data::ColumnType::kNumeric
+                              ? ds.add_numeric_column(name)
+                              : ds.add_categorical_column(name);
+      for (std::size_t r = 0; r < n; ++r) {
+        if (src.is_missing(r)) {
+          dst.push_missing();
+        } else if (src.type() == data::ColumnType::kNumeric) {
+          dst.push_numeric(src.numeric(r));
+        } else {
+          dst.push_category(src.category_label(r));
+        }
+      }
+      continue;
+    }
+    if (rng.bernoulli(0.35)) {
+      data::Column& col = ds.add_categorical_column(name);
+      const std::size_t used = 1 + rng.index(4);
+      // Intern categories no row draws, some ahead of the used ones.
+      for (std::size_t k = 0; k < rng.index(3); ++k) col.intern("unused" + std::to_string(k));
+      for (std::size_t r = 0; r < n; ++r) {
+        if (rng.bernoulli(missing_rate)) {
+          col.push_missing();
+        } else {
+          col.push_category("c" + std::to_string(rng.index(used)));
+        }
+      }
+      col.intern("never");
+    } else {
+      data::Column& col = ds.add_numeric_column(name);
+      const auto shape = static_cast<ValueShape>(rng.index(4));
+      const double base = rng.uniform(-10.0, 10.0);
+      for (std::size_t r = 0; r < n; ++r) {
+        if (rng.bernoulli(missing_rate)) {
+          col.push_missing();
+        } else {
+          col.push_numeric(draw_value(shape, base, rng));
+        }
+      }
+    }
+  }
+
+  // Labels: a step function of the first feature's sorted position, with noise.
+  const data::Column& key = ds.column(0);
+  std::vector<int> labels(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::size_t bucket = rng.index(num_labels);
+    if (!key.is_missing(r) && !rng.bernoulli(0.2)) {
+      bucket = key.type() == data::ColumnType::kNumeric
+                   ? static_cast<std::size_t>(std::signbit(key.numeric(r))) +
+                         (key.numeric(r) > 1.0 ? 1 : 0)
+                   : key.category(r);
+      bucket %= num_labels;
+    }
+    labels[r] = label_pool[bucket];
+  }
+  ds.set_labels(std::move(labels));
+  return ds;
+}
+
+DecisionTreeParams random_tree_params(std::uint64_t seed) {
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  DecisionTreeParams params;
+  const std::size_t depths[] = {1, 1, 2, 4, 12};
+  params.max_depth = depths[rng.index(std::size(depths))];
+  const std::size_t leaves[] = {1, 1, 2, 3, 7};
+  params.min_samples_leaf = leaves[rng.index(std::size(leaves))];
+  const double gains[] = {1e-9, 1e-9, 0.0, 0.05, -2.0};
+  params.min_gain = gains[rng.index(std::size(gains))];
+  params.missing = rng.bernoulli(0.5) ? MissingSplitPolicy::kOwnBranch
+                                      : MissingSplitPolicy::kMajorityBranch;
+  return params;
+}
+
+TEST(DecisionTreeTest, SweepMatchesExhaustiveOracle) {
+  std::size_t splits = 0, own_branch_slots = 0, empty_branches = 0, stumps = 0;
+  std::size_t tied_gains = 0, ulp_midpoints = 0, refusals = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Dataset ds = random_tree_dataset(seed);
+    const DecisionTreeParams params = random_tree_params(seed);
+    DecisionTree tree(params);
+    tree.fit(ds);
+    const oracle::OracleTree want = oracle::fit(ds, params);
+
+    const std::vector<ExportedTreeNode> got = tree.export_nodes();
+    ASSERT_EQ(got.size(), want.nodes.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("node " + std::to_string(i));
+      const ExportedTreeNode& a = got[i];
+      const ExportedTreeNode& b = want.nodes[i];
+      EXPECT_EQ(a.leaf, b.leaf);
+      EXPECT_EQ(a.label, b.label);
+      EXPECT_EQ(a.feature, b.feature);
+      EXPECT_EQ(a.numeric, b.numeric);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.threshold),
+                std::bit_cast<std::uint64_t>(b.threshold));
+      EXPECT_EQ(a.children, b.children);
+      EXPECT_EQ(a.missing_slot, b.missing_slot);
+      if (b.leaf) continue;
+      ++splits;
+      const std::size_t branches =
+          b.numeric ? 2 : ds.column(b.feature).categories().size();
+      if (params.missing == MissingSplitPolicy::kOwnBranch && b.missing_slot == branches) {
+        ++own_branch_slots;
+      }
+      if (std::count(b.children.begin(), b.children.end(), ExportedTreeNode::kNoNode) > 0) {
+        ++empty_branches;
+      }
+    }
+    EXPECT_EQ(tree.default_class(), want.default_class);
+    EXPECT_EQ(tree.node_count(), want.nodes.size());
+    EXPECT_EQ(tree.depth(), want.depth);
+    if (params.max_depth == 1 && want.depth == 2) ++stumps;
+    tied_gains += want.tied_gains;
+    ulp_midpoints += want.ulp_midpoints;
+    refusals += want.refusals;
+  }
+  // The datasets must reach every case the sweep could get wrong.
+  EXPECT_GT(splits, 400u);
+  EXPECT_GT(own_branch_slots, 50u);
+  EXPECT_GT(empty_branches, 50u);
+  EXPECT_GT(stumps, 20u);
+  EXPECT_GT(tied_gains, 300u);
+  EXPECT_GT(ulp_midpoints, 300u);
+  EXPECT_GT(refusals, 30u);
+}
+
+TEST(DecisionTreeTest, SplitSearchIsLinearPerLevel) {
+  // 2,000 distinct-valued rows: the exhaustive search re-partitions every
+  // present row per candidate threshold; the sweep visits each row once
+  // per node and feature, so at most n * d rows per tree level.
+  Rng rng(77);
+  Dataset ds = numeric_blobs(2000, 1.0, rng);
+  inject_missing(ds, 0.05, rng);
+  const DecisionTreeParams params{};
+  obs::Counter& scanned = obs::registry().counter("learners.split_rows_scanned");
+  const std::uint64_t before = scanned.value();
+  DecisionTree tree(params);
+  tree.fit(ds);
+  const std::uint64_t swept = scanned.value() - before;
+
+  const std::uint64_t bound = ds.rows() * ds.num_columns() * tree.depth();
+  EXPECT_GT(swept, 0u);
+  EXPECT_LE(swept, bound);
+  EXPECT_GT(oracle::fit(ds, params).rows_scanned, bound);
 }
 
 // ---- NaiveBayes ------------------------------------------------------------
