@@ -196,7 +196,8 @@ Dataset random_tree_dataset(std::uint64_t seed) {
       data::Column& col = ds.add_categorical_column(name);
       const std::size_t used = 1 + rng.index(4);
       // Intern categories no row draws, some ahead of the used ones.
-      for (std::size_t k = 0; k < rng.index(3); ++k) col.intern("unused" + std::to_string(k));
+      const std::size_t unused = rng.index(3);
+      for (std::size_t k = 0; k < unused; ++k) col.intern("unused" + std::to_string(k));
       for (std::size_t r = 0; r < n; ++r) {
         if (rng.bernoulli(missing_rate)) {
           col.push_missing();
@@ -219,7 +220,8 @@ Dataset random_tree_dataset(std::uint64_t seed) {
     }
   }
 
-  // Labels: a step function of the first feature's sorted position, with noise.
+  // Labels: a step function of the first feature (its sign and whether it
+  // exceeds 1, or its category), with 20% noise.
   const data::Column& key = ds.column(0);
   std::vector<int> labels(n);
   for (std::size_t r = 0; r < n; ++r) {
