@@ -428,6 +428,19 @@ TEST(FleetPin, TelemetryDegradeLoadStormsIsByteIdentical) {
   EXPECT_EQ(run_digest(pinned_degrade_config()), 0xa72a113c33199c23ULL);
 }
 
+TEST(FleetPin, StandaloneLedgerArtifactsAreByteIdentical) {
+  // ota.json and degradation.json exactly as the observatory writes them.
+  // Pinned while each ledger still had its own hand-written renderer;
+  // re-pin only for a deliberate behaviour change.
+  FleetSim ota_fleet(pinned_ota_config());
+  EXPECT_EQ(fold_digest(kFnv64Basis, ota_to_json(ota_fleet.run().deploy.ota)),
+            0x2ae3afd5f9e9cbd7ULL);
+  FleetSim degrade_fleet(pinned_degrade_config());
+  EXPECT_EQ(fold_digest(kFnv64Basis,
+                        degradation_to_json(degrade_fleet.run().degradation)),
+            0x71d65e1de72eb0daULL);
+}
+
 TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   // Keeps the pins honest: each pinned fleet must drive the paths it claims.
   FleetSim ota_fleet(pinned_ota_config());
