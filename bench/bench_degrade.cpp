@@ -135,7 +135,7 @@ int main() {
       if (pin == 1 || pin == 2) {
         // The headline error bound: 95% CIs cover the exact window mean on
         // at least 90% of windows at every approximate rung that emits CIs.
-        all_ok = all_ok && d.ci_windows > 0 && d.coverage() >= 0.90;
+        all_ok = all_ok && d.ci_windows > 0 && d.coverage >= 0.90;
       }
       if (pin == 2 && scale.gated) {
         // The headline speedup bound: sketch-only reduce at a third of the
@@ -147,8 +147,8 @@ int main() {
           std::string(scale.key) + ".pin" + std::to_string(pin);
       report.metric(key + ".edge_cost", cost);
       report.metric(key + ".edge_speedup_vs_l0", speedup);
-      report.metric(key + ".ci_coverage", d.coverage());
-      report.metric(key + ".ci_mean_half_width", d.mean_half_width());
+      report.metric(key + ".ci_coverage", d.coverage);
+      report.metric(key + ".ci_mean_half_width", d.mean_half_width);
       report.metric(key + ".ci_windows", static_cast<double>(d.ci_windows));
       report.metric(key + ".max_abs_error", d.max_abs_error);
       report.metric(key + ".rows_exact", static_cast<double>(d.rows_exact));
@@ -166,8 +166,8 @@ int main() {
       rows.push_back({scale.key, std::to_string(scale.devices),
                       "L" + std::to_string(pin), format_double(cost, 1),
                       format_double(speedup, 2),
-                      d.ci_windows > 0 ? format_double(d.coverage(), 3) : "-",
-                      d.ci_windows > 0 ? format_double(d.mean_half_width(), 4)
+                      d.ci_windows > 0 ? format_double(d.coverage, 3) : "-",
+                      d.ci_windows > 0 ? format_double(d.mean_half_width, 4)
                                        : "-",
                       std::to_string(d.rows_sampled_out),
                       conserved ? "yes" : "NO"});

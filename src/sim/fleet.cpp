@@ -7,7 +7,6 @@
 #include <numeric>
 #include <utility>
 
-#include "approx/confidence.hpp"
 #include "deploy/codec.hpp"
 #include "deploy/compile.hpp"
 #include "deploy/quantize.hpp"
@@ -861,6 +860,26 @@ double column_mean(const data::Column& col, std::size_t rows, std::size_t& n) {
 
 }  // namespace
 
+void FleetSim::degrade_record_ci(std::size_t edge_index, double now_s, int level,
+                                 std::size_t population, std::size_t rows_used,
+                                 const approx::Interval& ci, double exact,
+                                 std::size_t exact_n) {
+  auto& d = report_.degradation;
+  const bool covered = exact_n == 0 || ci.covers(exact);
+  ++d.ci_windows;
+  if (covered) ++d.ci_covered;
+  degrade_half_width_sum_ += ci.half_width;
+  const double err = std::abs(ci.estimate - exact);
+  degrade_abs_error_sum_ += err;
+  d.max_abs_error = std::max(d.max_abs_error, err);
+  if (d.windows.size() < kMaxWindowEstimates) {
+    d.windows.push_back({edge_index, now_s, level, population, rows_used,
+                         ci.estimate, ci.half_width, exact, covered});
+  } else {
+    ++d.windows_truncated;
+  }
+}
+
 void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
   Buffer& buf = edge_buffers_[edge_index];
   const std::size_t population = buf.row_count;
@@ -915,24 +934,12 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
     }
     samples[cursor].values.push_back(col.numeric(r));
   }
-  const approx::Interval ci = approx::stratified_mean_interval(samples);
-  const bool covered = exact_n == 0 || ci.covers(exact);
+  degrade_record_ci(edge_index, now_s, 1, population, keep.size(),
+                    approx::stratified_mean_interval(samples), exact, exact_n);
 
   ++d.windows_sampled;
   d.rows_approx += population;
   d.rows_sampled_out += population - keep.size();
-  ++d.ci_windows;
-  if (covered) ++d.ci_covered;
-  d.ci_half_width_sum += ci.half_width;
-  const double err = std::abs(ci.estimate - exact);
-  d.abs_error_sum += err;
-  d.max_abs_error = std::max(d.max_abs_error, err);
-  if (d.windows.size() < kMaxWindowEstimates) {
-    d.windows.push_back({edge_index, now_s, 1, population, keep.size(),
-                         ci.estimate, ci.half_width, exact, covered});
-  } else {
-    ++d.windows_truncated;
-  }
 
   StageReport st;
   st.stage_name = "degrade(sample)";
@@ -1008,21 +1015,9 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
 
     std::size_t exact_n = 0;
     const double exact = column_mean(col, population, exact_n);
-    const approx::Interval ci =
-        approx::mean_interval(quant.sample_values(), exact_n);
-    const bool covered = exact_n == 0 || ci.covers(exact);
-    ++d.ci_windows;
-    if (covered) ++d.ci_covered;
-    d.ci_half_width_sum += ci.half_width;
-    const double err = std::abs(ci.estimate - exact);
-    d.abs_error_sum += err;
-    d.max_abs_error = std::max(d.max_abs_error, err);
-    if (d.windows.size() < kMaxWindowEstimates) {
-      d.windows.push_back({edge_index, now_s, 2, population, quant.retained(),
-                           ci.estimate, ci.half_width, exact, covered});
-    } else {
-      ++d.windows_truncated;
-    }
+    degrade_record_ci(edge_index, now_s, 2, population, quant.retained(),
+                      approx::mean_interval(quant.sample_values(), exact_n),
+                      exact, exact_n);
 
     wire_bytes += tally.encode().size() + quant.encode().size();
     ++d.windows_sketch;
@@ -1132,6 +1127,12 @@ void FleetSim::degrade_settle(double now_s) {
 
 void FleetSim::finalize_degradation() {
   auto& d = report_.degradation;
+  if (d.ci_windows > 0) {
+    const auto windows = static_cast<double>(d.ci_windows);
+    d.coverage = static_cast<double>(d.ci_covered) / windows;
+    d.mean_half_width = degrade_half_width_sum_ / windows;
+    d.mean_abs_error = degrade_abs_error_sum_ / windows;
+  }
   for (std::size_t e = 0; e < config_.edges; ++e) {
     const approx::DegradationController& ctrl = degrade_ctrl_[e];
     EdgeDegradeTimeline timeline;

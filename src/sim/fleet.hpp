@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "approx/confidence.hpp"
 #include "approx/degradation.hpp"
 #include "approx/sample.hpp"
 #include "approx/sketch.hpp"
@@ -375,6 +376,12 @@ class FleetSim {
   /// the window's confidence interval against the exact (counterfactual)
   /// window mean and ledgers the shed rows.
   void degrade_sample_window(std::size_t edge_index, double now_s);
+  /// Ledger one CI-carrying window answered at `level` from `rows_used` of
+  /// its `population` rows, against the exact mean over `exact_n` rows.
+  void degrade_record_ci(std::size_t edge_index, double now_s, int level,
+                         std::size_t population, std::size_t rows_used,
+                         const approx::Interval& ci, double exact,
+                         std::size_t exact_n);
   /// L2/L3: answer the window with sketches (or a bare count), shed every
   /// row and uplink a fixed-size summary instead of the batch.
   void degrade_summary_flush(std::size_t edge_index, double now_s, int level);
@@ -567,6 +574,9 @@ class FleetSim {
   std::vector<double> degrade_queue_hint_;
   std::vector<std::uint64_t> degrade_sf_highwater_;  ///< rows, per edge
   std::vector<DegradeSummary> degrade_summaries_;
+  // Running sums behind the ledger's mean_half_width / mean_abs_error.
+  double degrade_half_width_sum_ = 0.0;
+  double degrade_abs_error_sum_ = 0.0;
   bool load_storm_ = false;
   std::uint64_t storm_epoch_ = 0;  ///< invalidates stale kStormFlush chains
 

@@ -1,6 +1,8 @@
 #include "sim/report.hpp"
 
+#include <concepts>
 #include <sstream>
+#include <tuple>
 
 #include "obs/json.hpp"
 
@@ -20,148 +22,326 @@ LatencyBreakdown LatencyBreakdown::from_histogram(const obs::LogHistogram& hist)
 
 namespace {
 
-// Renders the OTA ledger object with `ind` as the indentation of its
-// members — shared by the standalone ota.json artifact (ind = "  ") and the
-// nested block inside FleetReport::to_json (ind = "    ").
-void write_ota(std::ostream& out, const OtaSummary& ota, const std::string& ind) {
-  using obs::json_escape;
-  using obs::json_number;
-  out << "{\n";
-  out << ind << "\"enabled\": " << (ota.enabled ? "true" : "false") << ",\n";
-  out << ind << "\"epochs\": " << ota.epochs << ",\n";
-  out << ind << "\"versions_published\": " << ota.versions_published << ",\n";
-  out << ind << "\"bytes\": {\"delta_downlink\": " << ota.delta_downlink_bytes
-      << ", \"full_broadcast_counterfactual\": " << ota.full_broadcast_bytes
-      << ", \"probe_uplink\": " << ota.probe_uplink_bytes << "},\n";
-  out << ind << "\"chunks\": {\"sent\": " << ota.chunks_sent
-      << ", \"delivered\": " << ota.chunks_delivered
-      << ", \"corrupt_rejected\": " << ota.chunks_corrupt_rejected
-      << ", \"duplicates\": " << ota.chunk_duplicates
-      << ", \"stale\": " << ota.chunks_stale << "},\n";
-  out << ind << "\"resume_rounds\": " << ota.resume_rounds << ",\n";
-  out << ind << "\"full_fallbacks\": " << ota.full_fallbacks << ",\n";
-  out << ind << "\"promotions\": " << ota.promotions << ",\n";
-  out << ind << "\"rollbacks\": " << ota.rollbacks << ",\n";
-  out << ind << "\"last_commit_t_s\": " << json_number(ota.last_commit_t_s)
-      << ",\n";
-  out << ind << "\"devices\": {\"on_head\": " << ota.devices_on_head
-      << ", \"behind\": " << ota.devices_behind
-      << ", \"unprovisioned\": " << ota.devices_unprovisioned
-      << ", \"stuck\": " << ota.devices_stuck << "},\n";
-  out << ind << "\"all_devices_verified\": "
-      << (ota.all_devices_verified ? "true" : "false") << ",\n";
-  out << ind << "\"version_histogram\": {";
-  bool first = true;
-  for (const auto& [id, count] : ota.version_histogram) {
-    out << (first ? "" : ", ") << "\"" << id << "\": " << count;
-    first = false;
-  }
-  out << "},\n";
-  out << ind << "\"epochs_log\": [";
-  for (std::size_t i = 0; i < ota.epochs_log.size(); ++i) {
-    const OtaEpochEntry& e = ota.epochs_log[i];
-    out << (i == 0 ? "" : ",") << "\n" << ind << "  {\"epoch\": " << e.epoch
-        << ", \"t_s\": " << json_number(e.t_s)
-        << ", \"version_id\": " << e.version_id
-        << ", \"outcome\": \"" << json_escape(e.outcome) << "\""
-        << ", \"train_rows\": " << e.train_rows
-        << ", \"image_bytes\": " << e.image_bytes
-        << ", \"patch_bytes\": " << e.patch_bytes
-        << ", \"delta_downlink_bytes\": " << e.delta_downlink_bytes
-        << ", \"full_broadcast_bytes\": " << e.full_broadcast_bytes
-        << ", \"canary_devices\": " << e.canary_devices
-        << ", \"devices_reporting\": " << e.devices_reporting
-        << ", \"pooled_rows\": " << e.pooled_rows
-        << ", \"accuracy_old\": " << json_number(e.accuracy_old)
-        << ", \"accuracy_new\": " << json_number(e.accuracy_new)
-        << ", \"devices_updated\": " << e.devices_updated
-        << ", \"devices_rolled_back\": " << e.devices_rolled_back
-        << ", \"full_fallbacks\": " << e.full_fallbacks
-        << ", \"devices_stuck\": " << e.devices_stuck << "}";
-  }
-  if (!ota.epochs_log.empty()) out << "\n" << ind;
-  out << "]\n";
+// ---- Ledger schema -----------------------------------------------------------
+//
+// Each report ledger is described once, as a list of (JSON key, member)
+// entries. A Group renders members of the same struct as one nested object;
+// a std::vector member is a record array whose element type has its own list.
+// The writer and the reader below walk the same lists, so ota.json,
+// degradation.json and what fleetscope reads back cannot drift apart.
+
+template <class T, class M>
+struct Field {
+  const char* key;
+  M T::*member;
+};
+
+template <class... Fields>
+struct Group {
+  const char* key;
+  std::tuple<Fields...> fields;
+};
+
+template <class... Fields>
+constexpr Group<Fields...> group(const char* key, Fields... fields) {
+  return {key, {fields...}};
 }
 
-// Renders the degradation ledger object with `ind` as the indentation of
-// its members — shared by the standalone degradation.json artifact
-// (ind = "  ") and the nested block inside FleetReport::to_json.
-void write_degradation(std::ostream& out, const DegradationLedger& d,
-                       const std::string& ind) {
-  using obs::json_number;
-  out << "{\n";
-  out << ind << "\"enabled\": " << (d.enabled ? "true" : "false") << ",\n";
-  out << ind << "\"pin_level\": " << d.pin_level << ",\n";
-  out << ind << "\"duration_s\": " << json_number(d.duration_s) << ",\n";
-  out << ind << "\"rows\": {\"exact\": " << d.rows_exact
-      << ", \"approx\": " << d.rows_approx
-      << ", \"sampled_out\": " << d.rows_sampled_out << "},\n";
-  out << ind << "\"windows\": {\"exact\": " << d.windows_exact
-      << ", \"sampled\": " << d.windows_sampled
-      << ", \"sketch\": " << d.windows_sketch
-      << ", \"summary\": " << d.windows_summary << "},\n";
-  out << ind << "\"transitions\": {\"up\": " << d.transitions_up
-      << ", \"down\": " << d.transitions_down << "},\n";
-  out << ind << "\"summaries\": {\"sent\": " << d.summaries_sent
-      << ", \"delivered\": " << d.summaries_delivered
-      << ", \"bytes\": " << d.summary_bytes
-      << ", \"artifact_relays_skipped\": " << d.artifact_relays_skipped
-      << "},\n";
-  out << ind << "\"ci\": {\"windows\": " << d.ci_windows
-      << ", \"covered\": " << d.ci_covered
-      << ", \"coverage\": " << json_number(d.coverage())
-      << ", \"mean_half_width\": " << json_number(d.mean_half_width())
-      << ", \"mean_abs_error\": " << json_number(d.mean_abs_error())
-      << ", \"max_abs_error\": " << json_number(d.max_abs_error) << "},\n";
-  out << ind << "\"edges\": [";
-  for (std::size_t i = 0; i < d.edges.size(); ++i) {
-    const EdgeDegradeTimeline& e = d.edges[i];
-    out << (i == 0 ? "" : ",") << "\n" << ind << "  {\"edge\": " << e.edge
-        << ", \"final_level\": " << e.final_level << ", \"time_at_level_s\": ["
-        << json_number(e.time_at_level_s[0]) << ", "
-        << json_number(e.time_at_level_s[1]) << ", "
-        << json_number(e.time_at_level_s[2]) << ", "
-        << json_number(e.time_at_level_s[3]) << "], \"transitions\": [";
-    for (std::size_t j = 0; j < e.transitions.size(); ++j) {
-      const DegradeTransitionEntry& t = e.transitions[j];
-      out << (j == 0 ? "" : ", ") << "{\"t_s\": " << json_number(t.t_s)
-          << ", \"from\": " << t.from << ", \"to\": " << t.to << "}";
+template <class T>
+struct Schema;
+
+template <>
+struct Schema<OtaEpochEntry> {
+  using S = OtaEpochEntry;
+  static constexpr auto fields = std::make_tuple(
+      Field{"epoch", &S::epoch}, Field{"t_s", &S::t_s}, Field{"version_id", &S::version_id},
+      Field{"outcome", &S::outcome}, Field{"train_rows", &S::train_rows},
+      Field{"image_bytes", &S::image_bytes}, Field{"patch_bytes", &S::patch_bytes},
+      Field{"delta_downlink_bytes", &S::delta_downlink_bytes},
+      Field{"full_broadcast_bytes", &S::full_broadcast_bytes},
+      Field{"canary_devices", &S::canary_devices},
+      Field{"devices_reporting", &S::devices_reporting}, Field{"pooled_rows", &S::pooled_rows},
+      Field{"accuracy_old", &S::accuracy_old}, Field{"accuracy_new", &S::accuracy_new},
+      Field{"devices_updated", &S::devices_updated},
+      Field{"devices_rolled_back", &S::devices_rolled_back},
+      Field{"full_fallbacks", &S::full_fallbacks}, Field{"devices_stuck", &S::devices_stuck});
+};
+
+template <>
+struct Schema<OtaSummary> {
+  using S = OtaSummary;
+  static constexpr auto fields = std::make_tuple(
+      Field{"enabled", &S::enabled}, Field{"epochs", &S::epochs},
+      Field{"versions_published", &S::versions_published},
+      group("bytes", Field{"delta_downlink", &S::delta_downlink_bytes},
+            Field{"full_broadcast_counterfactual", &S::full_broadcast_bytes},
+            Field{"probe_uplink", &S::probe_uplink_bytes}),
+      group("chunks", Field{"sent", &S::chunks_sent}, Field{"delivered", &S::chunks_delivered},
+            Field{"corrupt_rejected", &S::chunks_corrupt_rejected},
+            Field{"duplicates", &S::chunk_duplicates}, Field{"stale", &S::chunks_stale}),
+      Field{"resume_rounds", &S::resume_rounds}, Field{"full_fallbacks", &S::full_fallbacks},
+      Field{"promotions", &S::promotions}, Field{"rollbacks", &S::rollbacks},
+      Field{"last_commit_t_s", &S::last_commit_t_s},
+      group("devices", Field{"on_head", &S::devices_on_head}, Field{"behind", &S::devices_behind},
+            Field{"unprovisioned", &S::devices_unprovisioned},
+            Field{"stuck", &S::devices_stuck}),
+      Field{"all_devices_verified", &S::all_devices_verified},
+      Field{"version_histogram", &S::version_histogram}, Field{"epochs_log", &S::epochs_log});
+};
+
+template <>
+struct Schema<DegradeTransitionEntry> {
+  using S = DegradeTransitionEntry;
+  static constexpr auto fields =
+      std::make_tuple(Field{"t_s", &S::t_s}, Field{"from", &S::from}, Field{"to", &S::to});
+};
+
+template <>
+struct Schema<EdgeDegradeTimeline> {
+  using S = EdgeDegradeTimeline;
+  static constexpr auto fields = std::make_tuple(
+      Field{"edge", &S::edge}, Field{"final_level", &S::final_level},
+      Field{"time_at_level_s", &S::time_at_level_s}, Field{"transitions", &S::transitions});
+};
+
+template <>
+struct Schema<WindowEstimate> {
+  using S = WindowEstimate;
+  static constexpr auto fields = std::make_tuple(
+      Field{"edge", &S::edge}, Field{"t_s", &S::t_s}, Field{"level", &S::level},
+      Field{"rows_window", &S::rows_window}, Field{"rows_used", &S::rows_used},
+      Field{"estimate", &S::estimate}, Field{"half_width", &S::half_width},
+      Field{"exact", &S::exact}, Field{"covered", &S::covered});
+};
+
+template <>
+struct Schema<DegradationLedger> {
+  using S = DegradationLedger;
+  static constexpr auto fields = std::make_tuple(
+      Field{"enabled", &S::enabled}, Field{"pin_level", &S::pin_level},
+      Field{"duration_s", &S::duration_s},
+      group("rows", Field{"exact", &S::rows_exact}, Field{"approx", &S::rows_approx},
+            Field{"sampled_out", &S::rows_sampled_out}),
+      group("windows", Field{"exact", &S::windows_exact}, Field{"sampled", &S::windows_sampled},
+            Field{"sketch", &S::windows_sketch}, Field{"summary", &S::windows_summary}),
+      group("transitions", Field{"up", &S::transitions_up}, Field{"down", &S::transitions_down}),
+      group("summaries", Field{"sent", &S::summaries_sent},
+            Field{"delivered", &S::summaries_delivered}, Field{"bytes", &S::summary_bytes},
+            Field{"artifact_relays_skipped", &S::artifact_relays_skipped}),
+      group("ci", Field{"windows", &S::ci_windows}, Field{"covered", &S::ci_covered},
+            Field{"coverage", &S::coverage}, Field{"mean_half_width", &S::mean_half_width},
+            Field{"mean_abs_error", &S::mean_abs_error},
+            Field{"max_abs_error", &S::max_abs_error}),
+      Field{"edges", &S::edges}, Field{"windows_truncated", &S::windows_truncated},
+      Field{"window_estimates", &S::windows});
+};
+
+using VersionHistogram = std::map<std::uint32_t, std::size_t>;
+
+// ---- Writer --------------------------------------------------------------------
+
+void put(std::ostream& out, bool v) { out << (v ? "true" : "false"); }
+void put(std::ostream& out, double v) { out << obs::json_number(v); }
+void put(std::ostream& out, const std::string& v) { out << '"' << obs::json_escape(v) << '"'; }
+template <std::integral I>
+void put(std::ostream& out, I v) { out << v; }
+
+void put(std::ostream& out, const double (&v)[4]) {
+  out << '[' << obs::json_number(v[0]) << ", " << obs::json_number(v[1]) << ", "
+      << obs::json_number(v[2]) << ", " << obs::json_number(v[3]) << ']';
+}
+
+void put(std::ostream& out, const VersionHistogram& histogram) {
+  const char* sep = "";
+  out << '{';
+  for (const auto& [id, count] : histogram) {
+    out << sep << '"' << id << "\": " << count;
+    sep = ", ";
+  }
+  out << '}';
+}
+
+template <class T, class Tuple>
+void put_inline(std::ostream& out, const T& x, const Tuple& fields);
+
+template <class U>
+void put(std::ostream& out, const std::vector<U>& records) {
+  const char* sep = "";
+  out << '[';
+  for (const U& r : records) {
+    out << sep;
+    put_inline(out, r, Schema<U>::fields);
+    sep = ", ";
+  }
+  out << ']';
+}
+
+template <class T, class M>
+void put_entry(std::ostream& out, const T& x, const Field<T, M>& f) {
+  out << '"' << f.key << "\": ";
+  put(out, x.*f.member);
+}
+
+template <class T, class... Fields>
+void put_entry(std::ostream& out, const T& x, const Group<Fields...>& g) {
+  out << '"' << g.key << "\": ";
+  put_inline(out, x, g.fields);
+}
+
+template <class T, class Tuple>
+void put_inline(std::ostream& out, const T& x, const Tuple& fields) {
+  const char* sep = "";
+  out << '{';
+  std::apply([&](const auto&... e) { ((out << sep, put_entry(out, x, e), sep = ", "), ...); },
+             fields);
+  out << '}';
+}
+
+// A member of the ledger root renders inline, except that a record array
+// puts one element per line.
+template <class T, class E>
+void put_root_entry(std::ostream& out, const T& x, const E& e, const std::string&) {
+  put_entry(out, x, e);
+}
+
+template <class T, class U>
+void put_root_entry(std::ostream& out, const T& x, const Field<T, std::vector<U>>& f,
+                    const std::string& ind) {
+  const std::vector<U>& records = x.*f.member;
+  out << '"' << f.key << "\": [";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out << (i == 0 ? "\n" : ",\n") << ind << "  ";
+    put_inline(out, records[i], Schema<U>::fields);
+  }
+  out << (records.empty() ? "" : "\n" + ind) << ']';
+}
+
+// Renders a ledger object with its members one per line at indentation
+// `ind`, closing two spaces shallower — shared by the standalone artifacts
+// (ind = "  ") and the blocks nested in FleetReport::to_json.
+template <class T>
+void put_ledger(std::ostream& out, const T& ledger, const std::string& ind) {
+  const char* sep = "{\n";
+  std::apply(
+      [&](const auto&... e) {
+        ((out << sep << ind, put_root_entry(out, ledger, e, ind), sep = ",\n"), ...);
+      },
+      Schema<T>::fields);
+  out << '\n' << ind.substr(2) << '}';
+}
+
+template <class T>
+std::string ledger_to_json(const T& ledger) {
+  std::ostringstream out;
+  put_ledger(out, ledger, "  ");
+  out << '\n';
+  return out.str();
+}
+
+// ---- Reader --------------------------------------------------------------------
+//
+// Every schema key must be present with its member's value kind, and an
+// integer must fit its member. On failure `where` names the field, built
+// innermost first as the recursion unwinds.
+
+bool fail_at(std::string& where, const std::string& step) {
+  where = step + (where.empty() || where[0] == '[' ? "" : ".") + where;
+  return false;
+}
+
+bool get(const obs::Json& j, bool& v, std::string&) {
+  v = j.boolean;
+  return j.kind == obs::Json::Kind::kBool;
+}
+bool get(const obs::Json& j, double& v, std::string&) {
+  v = j.number;
+  return j.kind == obs::Json::Kind::kNumber;
+}
+bool get(const obs::Json& j, std::string& v, std::string&) {
+  v = j.str;
+  return j.kind == obs::Json::Kind::kString;
+}
+template <std::integral I>
+bool get(const obs::Json& j, I& v, std::string&) { return j.to_int(v); }
+
+bool get(const obs::Json& j, double (&v)[4], std::string& where) {
+  if (j.kind != obs::Json::Kind::kArray || j.arr.size() != 4) return false;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (!get(j.arr[i], v[i], where)) return fail_at(where, '[' + std::to_string(i) + ']');
+  }
+  return true;
+}
+
+// Keys are strict decimal version ids; a repeated id is malformed.
+bool get(const obs::Json& j, VersionHistogram& histogram, std::string& where) {
+  if (j.kind != obs::Json::Kind::kObject) return false;
+  for (const auto& [key, value] : j.obj) {
+    std::uint32_t id = 0;
+    std::size_t count = 0;
+    if (!obs::parse_int(key, id) || !value.to_int(count) || !histogram.emplace(id, count).second) {
+      return fail_at(where, '"' + key + '"');
     }
-    out << "]}";
   }
-  if (!d.edges.empty()) out << "\n" << ind;
-  out << "],\n";
-  out << ind << "\"windows_truncated\": " << d.windows_truncated << ",\n";
-  out << ind << "\"window_estimates\": [";
-  for (std::size_t i = 0; i < d.windows.size(); ++i) {
-    const WindowEstimate& w = d.windows[i];
-    out << (i == 0 ? "" : ",") << "\n" << ind << "  {\"edge\": " << w.edge
-        << ", \"t_s\": " << json_number(w.t_s) << ", \"level\": " << w.level
-        << ", \"rows_window\": " << w.rows_window
-        << ", \"rows_used\": " << w.rows_used
-        << ", \"estimate\": " << json_number(w.estimate)
-        << ", \"half_width\": " << json_number(w.half_width)
-        << ", \"exact\": " << json_number(w.exact)
-        << ", \"covered\": " << (w.covered ? "true" : "false") << "}";
+  return true;
+}
+
+template <class T, class Tuple>
+bool get_object(const obs::Json& j, T& x, const Tuple& fields, std::string& where);
+
+template <class U>
+bool get(const obs::Json& j, std::vector<U>& records, std::string& where) {
+  if (j.kind != obs::Json::Kind::kArray) return false;
+  for (std::size_t i = 0; i < j.arr.size(); ++i) {
+    if (!get_object(j.arr[i], records.emplace_back(), Schema<U>::fields, where)) {
+      return fail_at(where, '[' + std::to_string(i) + ']');
+    }
   }
-  if (!d.windows.empty()) out << "\n" << ind;
-  out << "]\n";
+  return true;
+}
+
+template <class T, class M>
+bool get_entry(const obs::Json& j, T& x, const Field<T, M>& f, std::string& where) {
+  const obs::Json* v = j.find(f.key);
+  return (v != nullptr && get(*v, x.*f.member, where)) || fail_at(where, f.key);
+}
+
+template <class T, class... Fields>
+bool get_entry(const obs::Json& j, T& x, const Group<Fields...>& g, std::string& where) {
+  const obs::Json* v = j.find(g.key);
+  return (v != nullptr && get_object(*v, x, g.fields, where)) || fail_at(where, g.key);
+}
+
+template <class T, class Tuple>
+bool get_object(const obs::Json& j, T& x, const Tuple& fields, std::string& where) {
+  return j.kind == obs::Json::Kind::kObject &&
+         std::apply([&](const auto&... e) { return (get_entry(j, x, e, where) && ...); }, fields);
+}
+
+template <class T>
+bool ledger_from_json(const std::string& text, T& out, std::string& error) {
+  out = T{};
+  obs::Json root;
+  if (!obs::parse_json(text, root, error)) return false;
+  std::string where;
+  if (get_object(root, out, Schema<T>::fields, where)) return true;
+  error = where.empty() ? "not a JSON object" : "bad or missing field " + where;
+  return false;
 }
 
 }  // namespace
 
-std::string ota_to_json(const OtaSummary& ota) {
-  std::ostringstream out;
-  write_ota(out, ota, "  ");
-  out << "}\n";
-  return out.str();
+std::string ota_to_json(const OtaSummary& ota) { return ledger_to_json(ota); }
+
+bool ota_from_json(const std::string& text, OtaSummary& out, std::string& error) {
+  return ledger_from_json(text, out, error);
 }
 
 std::string degradation_to_json(const DegradationLedger& degradation) {
-  std::ostringstream out;
-  write_degradation(out, degradation, "  ");
-  out << "}\n";
-  return out.str();
+  return ledger_to_json(degradation);
+}
+
+bool degradation_from_json(const std::string& text, DegradationLedger& out, std::string& error) {
+  return ledger_from_json(text, out, error);
 }
 
 std::size_t FleetReport::rows_accounted() const noexcept {
@@ -380,8 +560,8 @@ std::string FleetReport::to_json() const {
         << ", \"table_lookups\": " << deploy.cost_table_lookups << "}";
     if (deploy.ota.enabled) {
       out << ",\n    \"ota\": ";
-      write_ota(out, deploy.ota, "      ");
-      out << "    }\n";
+      put_ledger(out, deploy.ota, "      ");
+      out << "\n";
     } else {
       out << "\n";
     }
@@ -389,8 +569,7 @@ std::string FleetReport::to_json() const {
   }
   if (degradation.enabled) {
     out << ",\n  \"degradation\": ";
-    write_degradation(out, degradation, "    ");
-    out << "  }";
+    put_ledger(out, degradation, "    ");
   }
   out << "\n}\n";
   return out.str();

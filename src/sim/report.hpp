@@ -135,6 +135,11 @@ struct OtaSummary {
 /// and counters only, no wall clock).
 std::string ota_to_json(const OtaSummary& ota);
 
+/// Read an ota_to_json rendering back into `out` through the same field
+/// list the writer walks. Returns false and fills `error` on malformed JSON,
+/// a missing or mistyped field, or an integer that does not fit its member.
+bool ota_from_json(const std::string& text, OtaSummary& out, std::string& error);
+
 /// Ledger of the optional deploy phase: the core compiles the analytics
 /// model, broadcasts the artifact down the tree, devices score their
 /// held-back window locally and uplink only predictions. `uplink_raw_bytes`
@@ -277,7 +282,7 @@ struct WindowEstimate {
 };
 
 /// Cap on WindowEstimate entries carried verbatim in the report; aggregate
-/// counters (coverage, error sums) always cover every window.
+/// counters (coverage, error means) always cover every window.
 inline constexpr std::size_t kMaxWindowEstimates = 64;
 
 /// Ledger of the graceful-degradation contract (DESIGN.md §16): per-edge
@@ -313,40 +318,29 @@ struct DegradationLedger {
 
   double duration_s = 0.0;  ///< run length, for timeline rendering
 
-  // Realized-error bookkeeping over every CI-carrying window.
+  // Realized error over every CI-carrying window. `coverage` is the
+  // fraction whose interval covered the exact answer (1.0 when none were
+  // sampled — nothing to miss); the means are 0 then.
   std::uint64_t ci_windows = 0;
   std::uint64_t ci_covered = 0;
-  double ci_half_width_sum = 0.0;
-  double abs_error_sum = 0.0;
+  double coverage = 1.0;
+  double mean_half_width = 0.0;
+  double mean_abs_error = 0.0;
   double max_abs_error = 0.0;
 
   std::vector<EdgeDegradeTimeline> edges;
   std::vector<WindowEstimate> windows;  ///< first kMaxWindowEstimates only
   std::uint64_t windows_truncated = 0;
-
-  /// Fraction of CI-carrying windows whose interval covered the exact
-  /// answer (1.0 when none were sampled — nothing to miss).
-  double coverage() const noexcept {
-    return ci_windows == 0
-               ? 1.0
-               : static_cast<double>(ci_covered) / static_cast<double>(ci_windows);
-  }
-
-  double mean_half_width() const noexcept {
-    return ci_windows == 0 ? 0.0
-                           : ci_half_width_sum / static_cast<double>(ci_windows);
-  }
-
-  double mean_abs_error() const noexcept {
-    return ci_windows == 0 ? 0.0
-                           : abs_error_sum / static_cast<double>(ci_windows);
-  }
 };
 
 /// Standalone JSON rendering of the degradation ledger — the
 /// degradation.json artifact the fleetscope `degradation` view reads.
 /// Deterministic per seed (virtual times and counters only).
 std::string degradation_to_json(const DegradationLedger& degradation);
+
+/// Read a degradation_to_json rendering back into `out` (see ota_from_json).
+bool degradation_from_json(const std::string& text, DegradationLedger& out,
+                           std::string& error);
 
 /// One flight-recorder dump, captured at the instant a fault fired: the
 /// affected entity's last ring of events, rendered as

@@ -168,11 +168,11 @@ TEST(DegradeLedger, SampledWindowsCarryCoveringIntervals) {
   const FleetReport report = sim.run();
   const DegradationLedger& d = report.degradation;
   ASSERT_GT(d.ci_windows, 0u);
-  EXPECT_GE(d.coverage(), 0.7);
-  EXPECT_GT(d.mean_half_width(), 0.0);
+  EXPECT_GE(d.coverage, 0.7);
+  EXPECT_GT(d.mean_half_width, 0.0);
   // Realized error stays commensurate with the advertised widths: even a
   // missed window must miss by a sliver, not a bias.
-  EXPECT_LT(d.max_abs_error, 4.0 * d.mean_half_width());
+  EXPECT_LT(d.max_abs_error, 4.0 * d.mean_half_width);
   ASSERT_FALSE(d.windows.empty());
   for (const WindowEstimate& w : d.windows) {
     EXPECT_EQ(w.level, 1);

@@ -13,6 +13,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/journey.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/timeseries.hpp"
 #include "pipeline/stage.hpp"
@@ -589,6 +590,109 @@ TEST(ObsWiring, GlobalTraceDisabledByDefaultButCapturesWhenEnabled) {
   }
   EXPECT_TRUE(saw_stage);
   obs::trace().clear();
+}
+
+// ---- JSON reader -------------------------------------------------------------
+
+bool parses(const std::string& text) {
+  obs::Json json;
+  std::string error;
+  return obs::parse_json(text, json, error);
+}
+
+TEST(JsonReader, ReadsValuesAndExactIntegers) {
+  obs::Json json;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json(
+      " {\"a\": [0, -2.5e3, 1E+2, true, null, \"x\\u00e9\\ud83d\\ude00\\n\"],\r\n"
+      "  \"id\": 18446744073709551615, \"b\": {}}\t",
+      json, error))
+      << error;
+  ASSERT_EQ(json.kind, obs::Json::Kind::kObject);
+  const obs::Json& a = *json.find("a");
+  ASSERT_EQ(a.arr.size(), 6u);
+  int zero = 7;
+  EXPECT_TRUE(a.arr[0].to_int(zero));
+  EXPECT_EQ(zero, 0);
+  EXPECT_EQ(a.arr[1].number, -2500.0);
+  EXPECT_EQ(a.arr[2].number, 100.0);
+  EXPECT_TRUE(a.arr[3].boolean);
+  EXPECT_EQ(a.arr[4].kind, obs::Json::Kind::kNull);
+  EXPECT_EQ(a.arr[5].str, "x\xC3\xA9\xF0\x9F\x98\x80\n");
+  // A 64-bit trace id reads back exactly, past double precision.
+  EXPECT_EQ(json.u64_or("id", 0), 18446744073709551615ULL);
+  EXPECT_EQ(json.find("b")->kind, obs::Json::Kind::kObject);
+}
+
+TEST(JsonReader, RejectsMalformedNumberTokens) {
+  for (const char* text :
+       {"1-2", "1.2.3", "+5", "01", "-01", "1.", ".5", "1e", "1e+", "-", "--1",
+        "0x10", "Infinity", "NaN", "1e400", "-1e400", "[1-2]", "[+5]",
+        "{\"a\": 1.2.3}"}) {
+    EXPECT_FALSE(parses(text)) << text;
+  }
+  for (const char* text : {"0", "-0", "1.5", "-0.0e-0", "1e-400", "9e99"}) {
+    EXPECT_TRUE(parses(text)) << text;
+  }
+}
+
+TEST(JsonReader, RejectsMalformedContainers) {
+  for (const char* text : {"[", "[1,]", "[1 2]", "[,1]", "{\"a\" 1}", "{\"a\": 1,}", "{,}",
+                           "{1: 2}", "[1]]", "{\"a\": }", "tru", "nul", ""}) {
+    EXPECT_FALSE(parses(text)) << text;
+  }
+  EXPECT_TRUE(parses(" [ ] "));
+  EXPECT_TRUE(parses("{ \"a\" : [ 1 , { } ] }"));
+}
+
+TEST(JsonReader, IntegersMustFitTheirTarget) {
+  obs::Json json;
+  std::string error;
+  // A 30-digit literal is a valid JSON number but fits no integer field.
+  ASSERT_TRUE(obs::parse_json("123456789012345678901234567890", json, error));
+  std::uint64_t u64 = 0;
+  EXPECT_FALSE(json.to_int(u64));
+
+  std::uint32_t u32 = 0;
+  int i = 0;
+  EXPECT_TRUE(obs::parse_int("4294967295", u32));
+  EXPECT_EQ(u32, 4294967295u);
+  EXPECT_TRUE(obs::parse_int("-2147483648", i));
+  EXPECT_EQ(i, -2147483648LL);
+  for (const char* text : {"4294967296", "-1", "-0", "12abc", "", "+1", "01", " 1"}) {
+    EXPECT_FALSE(obs::parse_int(text, u32)) << text;
+  }
+  for (const char* text : {"2147483648", "-2147483649", "1.0", "1e2", "-"}) {
+    EXPECT_FALSE(obs::parse_int(text, i)) << text;
+  }
+}
+
+TEST(JsonReader, CapsNestingDepth) {
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  obs::Json json;
+  std::string error;
+  EXPECT_FALSE(obs::parse_json(std::string(200000, '['), json, error));
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+  EXPECT_FALSE(parses(std::string(100000, '{')));
+
+  const std::size_t cap = obs::kMaxJsonDepth;
+  EXPECT_TRUE(parses(std::string(cap, '[') + std::string(cap, ']')));
+  EXPECT_FALSE(parses(std::string(cap + 1, '[') + std::string(cap + 1, ']')));
+}
+
+TEST(JsonReader, RejectsLoneSurrogatesAndRawControlCharacters) {
+  for (const char* text :
+       {"\"\\ud800\"", "\"\\udbff\"", "\"\\udc00\"", "\"\\ud800x\"",
+        "\"\\ud800\\u0041\"", "\"\\ud800\\ud800\"", "\"a\nb\"", "\"a\tb\"",
+        "\"\x01\"", "\"\x1f\"", "{\"k\x02\": 1}", "\"\\u12\"", "\"\\x41\""}) {
+    EXPECT_FALSE(parses(text)) << text;
+  }
+  // Escaped control characters are fine; json_escape writes them that way.
+  obs::Json json;
+  std::string error;
+  const std::string raw = std::string("a\x01\tb\n") + '\0' + "c";
+  ASSERT_TRUE(obs::parse_json("\"" + obs::json_escape(raw) + "\"", json, error)) << error;
+  EXPECT_EQ(json.str, raw);
 }
 
 }  // namespace

@@ -459,6 +459,89 @@ TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   EXPECT_GT(degrade.degradation.transitions_down, 0u);
 }
 
+// ---- Ledger schema ------------------------------------------------------------
+
+// Replaces the first `from` in `text` with `to`.
+std::string with(std::string text, const std::string& from, const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+TEST(LedgerSchema, PinnedAndDefaultLedgersRoundTripByteForByte) {
+  FleetSim ota_fleet(pinned_ota_config());
+  const OtaSummary ota = ota_fleet.run().deploy.ota;
+  FleetSim degrade_fleet(pinned_degrade_config());
+  const DegradationLedger degrade = degrade_fleet.run().degradation;
+  ASSERT_FALSE(ota.epochs_log.empty());
+  ASSERT_GT(ota.version_histogram.size(), 0u);
+  ASSERT_GT(degrade.transitions_up, 0u);
+  ASSERT_FALSE(degrade.windows.empty());
+  ASSERT_LT(degrade.pin_level, 0);
+
+  std::string error;
+  for (const OtaSummary& ledger : {ota, OtaSummary{}}) {
+    const std::string json = ota_to_json(ledger);
+    OtaSummary back;
+    ASSERT_TRUE(ota_from_json(json, back, error)) << error;
+    EXPECT_EQ(ota_to_json(back), json);
+  }
+  for (const DegradationLedger& ledger : {degrade, DegradationLedger{}}) {
+    const std::string json = degradation_to_json(ledger);
+    DegradationLedger back;
+    ASSERT_TRUE(degradation_from_json(json, back, error)) << error;
+    EXPECT_EQ(degradation_to_json(back), json);
+  }
+}
+
+TEST(LedgerSchema, ReaderRejectsFieldsThatDoNotFitTheirMember) {
+  const std::string json = degradation_to_json(DegradationLedger{});
+  const auto rejects = [](const std::string& text, const std::string& field) {
+    DegradationLedger out;
+    std::string error;
+    EXPECT_FALSE(degradation_from_json(text, out, error)) << text;
+    EXPECT_EQ(error, "bad or missing field " + field);
+  };
+  rejects(with(json, "\"pin_level\": -1", "\"pin_level\": 2147483648"), "pin_level");
+  rejects(with(json, "\"pin_level\": -1", "\"pin_level\": -1.5"), "pin_level");
+  rejects(with(json, "\"exact\": 0", "\"exact\": -1"), "rows.exact");
+  rejects(with(json, "\"exact\": 0", "\"exact\": 18446744073709551616"), "rows.exact");
+  rejects(with(json, "\"enabled\": false", "\"enabled\": 0"), "enabled");
+  rejects(with(json, "\"coverage\": 1", "\"coverage\": \"1\""), "ci.coverage");
+  rejects(with(json, "  \"windows_truncated\": 0,\n", ""), "windows_truncated");
+  rejects(with(json, "\"edges\": []", "\"edges\": [{}]"), "edges[0].edge");
+
+  DegradationLedger ledger;
+  ledger.edges.resize(1);
+  const std::string edges = degradation_to_json(ledger);
+  rejects(with(edges, "0, 0, 0, 0]", "0, 0, 0]"), "edges[0].time_at_level_s");
+  rejects(with(edges, "0, 0, 0, 0]", "0, 0, 0, true]"), "edges[0].time_at_level_s[3]");
+
+  DegradationLedger out;
+  std::string error;
+  EXPECT_FALSE(degradation_from_json("[]", out, error));
+  EXPECT_EQ(error, "not a JSON object");
+  EXPECT_FALSE(degradation_from_json(json + "x", out, error));
+}
+
+TEST(LedgerSchema, VersionHistogramKeysAreStrictUint32) {
+  OtaSummary ota;
+  ota.version_histogram = {{0, 3}, {4294967295u, 2}};
+  const std::string json = ota_to_json(ota);
+  OtaSummary out;
+  std::string error;
+  ASSERT_TRUE(ota_from_json(json, out, error)) << error;
+  EXPECT_EQ(out.version_histogram, ota.version_histogram);
+
+  for (const char* key : {"12abc", "4294967296", "-1", "07", "", " 7", "0"}) {
+    const std::string bad =
+        with(json, "\"4294967295\": 2", "\"" + std::string(key) + "\": 2");
+    EXPECT_FALSE(ota_from_json(bad, out, error)) << key;  // "0" repeats an id
+    EXPECT_EQ(error, "bad or missing field version_histogram.\"" + std::string(key) + "\"");
+  }
+  EXPECT_FALSE(ota_from_json(with(json, "\"0\": 3", "\"0\": -3"), out, error));
+}
+
 // Deploy plus OTA over fire-and-forget links where every link param makes a
 // straggler copy of 30% of deliveries, under a corruption storm, so corrupt
 // row frames are duplicated too. One OTA epoch: the loop provisions the fleet

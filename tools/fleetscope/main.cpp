@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "scope.hpp"
@@ -76,19 +77,34 @@ bool load_artifacts(const std::string& dir, fleetscope::JourneyFile& journeys,
   return true;
 }
 
+// Reads the report ledger <dir>/<name>, written when the run had `knob`
+// set, back into the simulator's struct through `from_json`. Prints why on
+// stderr and returns false on failure.
+template <class Ledger>
+bool load_ledger(const std::string& dir, const char* name, const char* knob,
+                 bool (*from_json)(const std::string&, Ledger&, std::string&),
+                 Ledger& out) {
+  std::ifstream in(dir + "/" + name);
+  if (!in) {
+    std::fprintf(stderr, "fleetscope: cannot open %s/%s (was the run configured "
+                 "with %s?)\n", dir.c_str(), name, knob);
+    return false;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  if (!from_json(text.str(), out, error)) {
+    std::fprintf(stderr, "fleetscope: %s: %s\n", name, error.c_str());
+    return false;
+  }
+  return true;
+}
+
 // The `versions` view: render the OTA version-chain histogram and the
 // canary promote/rollback timeline from <dir>/ota.json.
 int scope_versions(const std::string& dir) {
-  std::ifstream in(dir + "/ota.json");
-  if (!in) {
-    std::fprintf(stderr, "fleetscope: cannot open %s/ota.json (was the run "
-                 "configured with ota.enabled?)\n", dir.c_str());
-    return 1;
-  }
-  fleetscope::OtaFile ota;
-  std::string error;
-  if (!fleetscope::parse_ota(in, ota, error)) {
-    std::fprintf(stderr, "fleetscope: %s\n", error.c_str());
+  sim::OtaSummary ota;
+  if (!load_ledger(dir, "ota.json", "ota.enabled", sim::ota_from_json, ota)) {
     return 1;
   }
   std::printf("%s", fleetscope::render_versions(ota).c_str());
@@ -98,16 +114,9 @@ int scope_versions(const std::string& dir) {
 // The `degradation` view: render the per-edge ladder timeline and the
 // bounded-error ledger from <dir>/degradation.json.
 int scope_degradation(const std::string& dir) {
-  std::ifstream in(dir + "/degradation.json");
-  if (!in) {
-    std::fprintf(stderr, "fleetscope: cannot open %s/degradation.json (was "
-                 "the run configured with degrade.enabled?)\n", dir.c_str());
-    return 1;
-  }
-  fleetscope::DegradeFile degrade;
-  std::string error;
-  if (!fleetscope::parse_degradation(in, degrade, error)) {
-    std::fprintf(stderr, "fleetscope: %s\n", error.c_str());
+  sim::DegradationLedger degrade;
+  if (!load_ledger(dir, "degradation.json", "degrade.enabled",
+                   sim::degradation_from_json, degrade)) {
     return 1;
   }
   std::printf("%s", fleetscope::render_degradation(degrade).c_str());
@@ -207,38 +216,29 @@ int self_check() {
   ok &= check(c.row_fraction() >= 0.99,
               "at least 99% of delivered rows reconstruct a full journey");
 
-  // The versions view parses the same ota.json the offline mode reads and
-  // must agree with the in-process ledger.
-  fleetscope::OtaFile ota;
-  {
-    std::ifstream in(dir + "/ota.json");
-    std::string error;
-    ok &= check(static_cast<bool>(in), "ota.json written");
-    ok &= check(static_cast<bool>(in) && fleetscope::parse_ota(in, ota, error),
-                "ota.json parses through the offline reader");
-  }
+  // The versions view reads ota.json back into an OtaSummary through the
+  // ledger's own schema; rendered again it must match the in-process
+  // ledger byte for byte.
   const sim::OtaSummary& ledger = report.deploy.ota;
-  ok &= check(ota.enabled, "ota ledger marked enabled");
-  ok &= check(ota.epochs_log.size() == static_cast<std::size_t>(ledger.epochs),
-              "versions view sees one entry per epoch");
-  std::uint64_t histogram_devices = 0;
+  sim::OtaSummary ota;
+  ok &= check(load_ledger(dir, "ota.json", "ota.enabled", sim::ota_from_json, ota),
+              "ota.json reads back through the ledger schema");
+  ok &= check(sim::ota_to_json(ota) == sim::ota_to_json(ledger),
+              "ota.json round-trips to the in-process ledger's bytes");
+  std::size_t histogram_devices = 0;
   for (const auto& [id, count] : ota.version_histogram) histogram_devices += count;
   ok &= check(histogram_devices == config.devices,
               "version histogram accounts for every device");
   ok &= check(ota.all_devices_verified,
               "every device ends on a checksum-verified version");
-  ok &= check(ota.delta_downlink_bytes == ledger.delta_downlink_bytes &&
-                  ota.promotions == ledger.promotions &&
-                  ota.rollbacks == ledger.rollbacks,
-              "versions view agrees with the in-process ledger");
 
   std::printf("%s", fleetscope::render_health(journeys, recon, flight).c_str());
   std::printf("%s", fleetscope::render_versions(ota).c_str());
 
   // A second small fleet exercises the degradation ladder (DESIGN.md §16):
   // a load storm over a shallow ack queue with bands tight enough that the
-  // ladder must move, then the offline degradation.json reader is checked
-  // against the in-process ledger field by field.
+  // ladder must move, then degradation.json is read back and checked against
+  // the in-process ledger byte for byte.
   {
     sim::FleetConfig dcfg;
     dcfg.devices = 20;
@@ -268,38 +268,18 @@ int self_check() {
     const sim::FleetReport dreport = dfleet.run();
     const sim::DegradationLedger& dledger = dreport.degradation;
 
-    fleetscope::DegradeFile degrade;
-    {
-      std::ifstream in(ddir + "/degradation.json");
-      std::string error;
-      ok &= check(static_cast<bool>(in), "degradation.json written");
-      ok &= check(static_cast<bool>(in) &&
-                      fleetscope::parse_degradation(in, degrade, error),
-                  "degradation.json parses through the offline reader");
-    }
+    sim::DegradationLedger degrade;
+    ok &= check(load_ledger(ddir, "degradation.json", "degrade.enabled",
+                            sim::degradation_from_json, degrade),
+                "degradation.json reads back through the ledger schema");
+    ok &= check(sim::degradation_to_json(degrade) ==
+                    sim::degradation_to_json(dledger),
+                "degradation.json round-trips to the in-process ledger's bytes");
     ok &= check(dreport.rows_conserved(),
                 "degraded run's conservation ledger closes");
     ok &= check(dledger.transitions_up > 0, "the ladder actually moved");
-    ok &= check(degrade.enabled, "degradation ledger marked enabled");
-    std::uint64_t moves = 0;
-    for (const fleetscope::DegradeEdge& e : degrade.edges) {
-      moves += e.transitions.size();
-    }
-    ok &= check(degrade.edges.size() == dledger.edges.size() &&
-                    moves == dledger.transitions_up + dledger.transitions_down,
-                "degradation view sees every ladder move");
-    ok &= check(degrade.rows_exact == dledger.rows_exact &&
-                    degrade.rows_approx == dledger.rows_approx &&
-                    degrade.rows_sampled_out == dledger.rows_sampled_out &&
-                    degrade.transitions_up == dledger.transitions_up &&
-                    degrade.transitions_down == dledger.transitions_down &&
-                    degrade.summaries_sent == dledger.summaries_sent &&
-                    degrade.ci_windows == dledger.ci_windows &&
-                    degrade.ci_covered == dledger.ci_covered &&
-                    degrade.windows.size() == dledger.windows.size(),
-                "degradation view agrees with the in-process ledger");
     bool settled = true;
-    for (const fleetscope::DegradeEdge& e : degrade.edges) {
+    for (const sim::EdgeDegradeTimeline& e : degrade.edges) {
       settled = settled && e.final_level == 0;
     }
     ok &= check(settled, "every edge settled back to L0");

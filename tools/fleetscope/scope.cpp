@@ -1,232 +1,21 @@
 #include "scope.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <istream>
-#include <set>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace iotml::fleetscope {
 
-// ---- Minimal JSON ----------------------------------------------------------
+// ---- Artifact parsers ------------------------------------------------------
+
+using obs::Json;
+using obs::parse_json;
 
 namespace {
-
-class Parser {
- public:
-  Parser(const std::string& text, std::string& error) : text_(text), error_(error) {}
-
-  bool parse(Json& out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters after value");
-    return true;
-  }
-
- private:
-  bool fail(const std::string& what) {
-    std::ostringstream msg;
-    msg << what << " at offset " << pos_;
-    error_ = msg.str();
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool value(Json& out) {
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out.kind = Json::Kind::kString;
-      return string(out.str);
-    }
-    if (c == 't' || c == 'f') return boolean(out);
-    if (c == 'n') return null(out);
-    return number(out);
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) != 0) return fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool boolean(Json& out) {
-    out.kind = Json::Kind::kBool;
-    out.boolean = text_[pos_] == 't';
-    return literal(out.boolean ? "true" : "false");
-  }
-
-  bool null(Json& out) {
-    out.kind = Json::Kind::kNull;
-    return literal("null");
-  }
-
-  bool number(Json& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return fail("expected a number");
-    const std::string token = text_.substr(start, pos_ - start);
-    try {
-      out.number = std::stod(token);
-    } catch (...) {
-      return fail("unparseable number '" + token + "'");
-    }
-    out.kind = Json::Kind::kNumber;
-    out.integer = 0;
-    if (integral && token[0] != '-') {
-      try {
-        out.integer = std::stoull(token);
-      } catch (...) {
-        out.integer = static_cast<std::uint64_t>(out.number);
-      }
-    } else {
-      out.integer = static_cast<std::uint64_t>(out.number < 0 ? 0 : out.number);
-    }
-    return true;
-  }
-
-  bool string(std::string& out) {
-    ++pos_;  // opening quote
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'u': {
-          // The artifacts only escape control characters; decode BMP scalars
-          // to UTF-8 and reject surrogate fiddling as malformed.
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return fail("bad \\u escape digit");
-          }
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool array(Json& out) {
-    out.kind = Json::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      Json elem;
-      skip_ws();
-      if (!value(elem)) return false;
-      out.arr.push_back(std::move(elem));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool object(Json& out) {
-    out.kind = Json::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected object key");
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      skip_ws();
-      Json val;
-      if (!value(val)) return false;
-      out.obj.emplace_back(std::move(key), std::move(val));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  const std::string& text_;
-  std::string& error_;
-  std::size_t pos_ = 0;
-};
 
 std::string read_all(std::istream& in) {
   std::ostringstream buf;
@@ -235,36 +24,6 @@ std::string read_all(std::istream& in) {
 }
 
 }  // namespace
-
-const Json* Json::find(const std::string& key) const {
-  for (const auto& [k, v] : obj) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-double Json::num_or(const std::string& key, double fallback) const {
-  const Json* v = find(key);
-  return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-}
-
-std::uint64_t Json::u64_or(const std::string& key, std::uint64_t fallback) const {
-  const Json* v = find(key);
-  return v != nullptr && v->kind == Kind::kNumber ? v->integer : fallback;
-}
-
-std::string Json::str_or(const std::string& key, const std::string& fallback) const {
-  const Json* v = find(key);
-  return v != nullptr && v->kind == Kind::kString ? v->str : fallback;
-}
-
-bool parse_json(const std::string& text, Json& out, std::string& error) {
-  out = Json{};
-  Parser p(text, error);
-  return p.parse(out);
-}
-
-// ---- Artifact parsers ------------------------------------------------------
 
 bool parse_journeys(std::istream& in, JourneyFile& out, std::string& error) {
   out = JourneyFile{};
@@ -299,7 +58,12 @@ bool parse_journeys(std::istream& in, JourneyFile& out, std::string& error) {
     rec.outcome = row.str_or("outcome", "");
     if (const Json* parents = row.find("parents");
         parents != nullptr && parents->kind == Json::Kind::kArray) {
-      for (const Json& p : parents->arr) rec.parents.push_back(p.integer);
+      for (const Json& p : parents->arr) {
+        if (!p.to_int(rec.parents.emplace_back())) {
+          error = "journeys.jsonl line " + std::to_string(line_no) + ": bad parent trace id";
+          return false;
+        }
+      }
     }
     out.records.push_back(std::move(rec));
   }
@@ -369,159 +133,6 @@ bool parse_flightrec(std::istream& in, FlightFile& out, std::string& error) {
       }
     }
     out.entities.push_back(std::move(entity));
-  }
-  return true;
-}
-
-bool parse_ota(std::istream& in, OtaFile& out, std::string& error) {
-  out = OtaFile{};
-  Json root;
-  if (!parse_json(read_all(in), root, error)) {
-    error = "ota.json: " + error;
-    return false;
-  }
-  const Json* enabled = root.find("enabled");
-  out.enabled = enabled != nullptr && enabled->boolean;
-  out.epochs = root.u64_or("epochs", 0);
-  out.versions_published = root.u64_or("versions_published", 0);
-  if (const Json* bytes = root.find("bytes"); bytes != nullptr) {
-    out.delta_downlink_bytes = bytes->u64_or("delta_downlink", 0);
-    out.full_broadcast_bytes = bytes->u64_or("full_broadcast_counterfactual", 0);
-    out.probe_uplink_bytes = bytes->u64_or("probe_uplink", 0);
-  }
-  out.promotions = root.u64_or("promotions", 0);
-  out.rollbacks = root.u64_or("rollbacks", 0);
-  out.last_commit_t_s = root.num_or("last_commit_t_s", 0.0);
-  if (const Json* devices = root.find("devices"); devices != nullptr) {
-    out.devices_on_head = devices->u64_or("on_head", 0);
-    out.devices_behind = devices->u64_or("behind", 0);
-    out.devices_unprovisioned = devices->u64_or("unprovisioned", 0);
-    out.devices_stuck = devices->u64_or("stuck", 0);
-  }
-  const Json* verified = root.find("all_devices_verified");
-  out.all_devices_verified = verified != nullptr && verified->boolean;
-  if (const Json* histogram = root.find("version_histogram");
-      histogram != nullptr && histogram->kind == Json::Kind::kObject) {
-    for (const auto& [id, count] : histogram->obj) {
-      std::uint32_t version = 0;
-      try {
-        version = static_cast<std::uint32_t>(std::stoul(id));
-      } catch (...) {
-        error = "ota.json: non-numeric version_histogram key '" + id + "'";
-        return false;
-      }
-      out.version_histogram.emplace_back(version, count.integer);
-    }
-  }
-  if (const Json* log = root.find("epochs_log");
-      log != nullptr && log->kind == Json::Kind::kArray) {
-    for (const Json& row : log->arr) {
-      OtaEpoch e;
-      e.epoch = row.u64_or("epoch", 0);
-      e.t_s = row.num_or("t_s", 0.0);
-      e.version_id = static_cast<std::uint32_t>(row.u64_or("version_id", 0));
-      e.outcome = row.str_or("outcome", "");
-      e.train_rows = row.u64_or("train_rows", 0);
-      e.image_bytes = row.u64_or("image_bytes", 0);
-      e.patch_bytes = row.u64_or("patch_bytes", 0);
-      e.delta_downlink_bytes = row.u64_or("delta_downlink_bytes", 0);
-      e.full_broadcast_bytes = row.u64_or("full_broadcast_bytes", 0);
-      e.canary_devices = row.u64_or("canary_devices", 0);
-      e.devices_reporting = row.u64_or("devices_reporting", 0);
-      e.accuracy_old = row.num_or("accuracy_old", 0.0);
-      e.accuracy_new = row.num_or("accuracy_new", 0.0);
-      e.devices_updated = row.u64_or("devices_updated", 0);
-      e.devices_rolled_back = row.u64_or("devices_rolled_back", 0);
-      e.full_fallbacks = row.u64_or("full_fallbacks", 0);
-      e.devices_stuck = row.u64_or("devices_stuck", 0);
-      out.epochs_log.push_back(std::move(e));
-    }
-  }
-  return true;
-}
-
-bool parse_degradation(std::istream& in, DegradeFile& out, std::string& error) {
-  out = DegradeFile{};
-  Json root;
-  if (!parse_json(read_all(in), root, error)) {
-    error = "degradation.json: " + error;
-    return false;
-  }
-  const Json* enabled = root.find("enabled");
-  out.enabled = enabled != nullptr && enabled->boolean;
-  out.pin_level = static_cast<int>(root.num_or("pin_level", -1.0));
-  out.duration_s = root.num_or("duration_s", 0.0);
-  if (const Json* rows = root.find("rows"); rows != nullptr) {
-    out.rows_exact = rows->u64_or("exact", 0);
-    out.rows_approx = rows->u64_or("approx", 0);
-    out.rows_sampled_out = rows->u64_or("sampled_out", 0);
-  }
-  if (const Json* windows = root.find("windows"); windows != nullptr) {
-    out.windows_exact = windows->u64_or("exact", 0);
-    out.windows_sampled = windows->u64_or("sampled", 0);
-    out.windows_sketch = windows->u64_or("sketch", 0);
-    out.windows_summary = windows->u64_or("summary", 0);
-  }
-  if (const Json* transitions = root.find("transitions"); transitions != nullptr) {
-    out.transitions_up = transitions->u64_or("up", 0);
-    out.transitions_down = transitions->u64_or("down", 0);
-  }
-  if (const Json* summaries = root.find("summaries"); summaries != nullptr) {
-    out.summaries_sent = summaries->u64_or("sent", 0);
-    out.summaries_delivered = summaries->u64_or("delivered", 0);
-    out.summary_bytes = summaries->u64_or("bytes", 0);
-    out.artifact_relays_skipped = summaries->u64_or("artifact_relays_skipped", 0);
-  }
-  if (const Json* ci = root.find("ci"); ci != nullptr) {
-    out.ci_windows = ci->u64_or("windows", 0);
-    out.ci_covered = ci->u64_or("covered", 0);
-    out.coverage = ci->num_or("coverage", 0.0);
-    out.mean_half_width = ci->num_or("mean_half_width", 0.0);
-    out.mean_abs_error = ci->num_or("mean_abs_error", 0.0);
-    out.max_abs_error = ci->num_or("max_abs_error", 0.0);
-  }
-  out.windows_truncated = root.u64_or("windows_truncated", 0);
-  if (const Json* edges = root.find("edges");
-      edges != nullptr && edges->kind == Json::Kind::kArray) {
-    for (const Json& row : edges->arr) {
-      DegradeEdge e;
-      e.edge = static_cast<std::size_t>(row.u64_or("edge", 0));
-      e.final_level = static_cast<int>(row.num_or("final_level", 0.0));
-      if (const Json* times = row.find("time_at_level_s");
-          times != nullptr && times->kind == Json::Kind::kArray) {
-        for (std::size_t i = 0; i < times->arr.size() && i < 4; ++i) {
-          e.time_at_level_s[i] = times->arr[i].number;
-        }
-      }
-      if (const Json* moves = row.find("transitions");
-          moves != nullptr && moves->kind == Json::Kind::kArray) {
-        for (const Json& move : moves->arr) {
-          DegradeTransition t;
-          t.t_s = move.num_or("t_s", 0.0);
-          t.from = static_cast<int>(move.num_or("from", 0.0));
-          t.to = static_cast<int>(move.num_or("to", 0.0));
-          e.transitions.push_back(t);
-        }
-      }
-      out.edges.push_back(std::move(e));
-    }
-  }
-  if (const Json* estimates = root.find("window_estimates");
-      estimates != nullptr && estimates->kind == Json::Kind::kArray) {
-    for (const Json& row : estimates->arr) {
-      DegradeWindow w;
-      w.edge = static_cast<std::size_t>(row.u64_or("edge", 0));
-      w.t_s = row.num_or("t_s", 0.0);
-      w.level = static_cast<int>(row.num_or("level", 0.0));
-      w.rows_window = row.u64_or("rows_window", 0);
-      w.rows_used = row.u64_or("rows_used", 0);
-      w.estimate = row.num_or("estimate", 0.0);
-      w.half_width = row.num_or("half_width", 0.0);
-      w.exact = row.num_or("exact", 0.0);
-      const Json* covered = row.find("covered");
-      w.covered = covered != nullptr && covered->boolean;
-      out.windows.push_back(w);
-    }
   }
   return true;
 }
@@ -773,7 +384,7 @@ std::string render_flight(const FlightFile& flight, std::size_t limit) {
   return out.str();
 }
 
-std::string render_versions(const OtaFile& ota) {
+std::string render_versions(const sim::OtaSummary& ota) {
   std::ostringstream out;
   if (!ota.enabled) {
     out << "ota versions: OTA was not enabled for this run\n";
@@ -786,9 +397,9 @@ std::string render_versions(const OtaFile& ota) {
                                static_cast<double>(ota.full_broadcast_bytes))
           : 0.0;
   std::snprintf(head, sizeof head,
-                "ota versions (%llu epochs, %llu promoted, %llu rolled back; "
+                "ota versions (%d epochs, %llu promoted, %llu rolled back; "
                 "downlink %llu B vs %llu B counterfactual, %.1f%% saved)",
-                static_cast<unsigned long long>(ota.epochs),
+                ota.epochs,
                 static_cast<unsigned long long>(ota.promotions),
                 static_cast<unsigned long long>(ota.rollbacks),
                 static_cast<unsigned long long>(ota.delta_downlink_bytes),
@@ -796,10 +407,9 @@ std::string render_versions(const OtaFile& ota) {
   out << head << "\n";
 
   out << "timeline\n";
-  for (const OtaEpoch& e : ota.epochs_log) {
+  for (const sim::OtaEpochEntry& e : ota.epochs_log) {
     char line[192];
-    std::snprintf(line, sizeof line, "  epoch %llu  t=%-8s v%-3u %-11s",
-                  static_cast<unsigned long long>(e.epoch),
+    std::snprintf(line, sizeof line, "  epoch %d  t=%-8s v%-3u %-11s", e.epoch,
                   format_seconds(e.t_s).c_str(), e.version_id,
                   e.outcome.c_str());
     out << line;
@@ -820,8 +430,8 @@ std::string render_versions(const OtaFile& ota) {
   }
 
   out << "fleet versions\n";
-  std::uint64_t max_count = 1;
-  std::uint64_t total = 0;
+  std::size_t max_count = 1;
+  std::size_t total = 0;
   std::uint32_t head_id = 0;
   for (const auto& [id, count] : ota.version_histogram) {
     max_count = std::max(max_count, count);
@@ -859,7 +469,7 @@ std::string render_versions(const OtaFile& ota) {
   return out.str();
 }
 
-std::string render_degradation(const DegradeFile& d) {
+std::string render_degradation(const sim::DegradationLedger& d) {
   std::ostringstream out;
   if (!d.enabled) {
     out << "degradation: the ladder was not enabled for this run\n";
@@ -885,21 +495,21 @@ std::string render_degradation(const DegradeFile& d) {
   // darker (L0 '.', L1 '-', L2 '=', L3 '#'). The horizon covers the settle
   // tail, so a healthy edge always ends in '.'.
   double horizon = d.duration_s;
-  for (const DegradeEdge& e : d.edges) {
-    for (const DegradeTransition& t : e.transitions) {
+  for (const sim::EdgeDegradeTimeline& e : d.edges) {
+    for (const sim::DegradeTransitionEntry& t : e.transitions) {
       horizon = std::max(horizon, t.t_s);
     }
   }
   constexpr std::size_t kStripWidth = 48;
   constexpr char kLevelChar[4] = {'.', '-', '=', '#'};
   out << "ladder timeline (0.." << format_seconds(horizon) << ")\n";
-  for (const DegradeEdge& e : d.edges) {
+  for (const sim::EdgeDegradeTimeline& e : d.edges) {
     std::string strip(kStripWidth, kLevelChar[0]);
     // Walk the step function transition by transition; the level before the
     // first move is that move's `from` rung.
     int level = e.transitions.empty() ? e.final_level : e.transitions.front().from;
     std::size_t bucket = 0;
-    for (const DegradeTransition& t : e.transitions) {
+    for (const sim::DegradeTransitionEntry& t : e.transitions) {
       const auto until = horizon > 0.0
           ? std::min(kStripWidth, static_cast<std::size_t>(
                 t.t_s / horizon * static_cast<double>(kStripWidth)))
@@ -956,7 +566,7 @@ std::string render_degradation(const DegradeFile& d) {
     out << "\n";
     constexpr std::size_t kWindowLimit = 8;
     for (std::size_t i = 0; i < d.windows.size() && i < kWindowLimit; ++i) {
-      const DegradeWindow& w = d.windows[i];
+      const sim::WindowEstimate& w = d.windows[i];
       char line[224];
       std::snprintf(line, sizeof line,
                     "  t=%-8s edge %-3zu L%d %llu/%llu rows  est %.4f +/- "

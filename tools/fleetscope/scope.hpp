@@ -1,11 +1,13 @@
 #pragma once
 
-// fleetscope — offline reader for the fleet observatory's artifacts
-// (timeseries.json, journeys.jsonl, flightrec.json; see DESIGN.md §13).
-// Parses what src/obs wrote, reconstructs per-row device -> edge -> core
-// journeys from the hop records, and renders operator-facing tables. The
-// parsing layer is a deliberately small JSON reader: the artifacts are
-// machine-written with fixed key order, but the reader tolerates any order.
+// fleetscope — offline reader for a fleet run's artifacts (DESIGN.md §13):
+// the observatory's timeseries.json, journeys.jsonl and flightrec.json, and
+// the ota.json / degradation.json report ledgers. Parses what the run wrote
+// with obs::parse_json, reconstructs per-row device -> edge -> core journeys
+// from the hop records, and renders operator-facing tables. The ledgers are
+// read back into the simulator's own sim::OtaSummary / sim::DegradationLedger
+// through the field list their writer walks (sim::ota_from_json,
+// sim::degradation_from_json), so this tool holds no copy of their schema.
 
 #include <cstddef>
 #include <cstdint>
@@ -15,32 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "sim/report.hpp"
+
 namespace iotml::fleetscope {
-
-// ---- Minimal JSON ----------------------------------------------------------
-
-/// One parsed JSON value. Objects keep insertion order; numbers are doubles
-/// (the artifacts never need 2^53+ integers except trace ids, which are
-/// re-parsed from the raw text via u64 accessors below).
-struct Json {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::uint64_t integer = 0;  ///< exact value when the literal was integral
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
-
-  const Json* find(const std::string& key) const;
-  double num_or(const std::string& key, double fallback) const;
-  std::uint64_t u64_or(const std::string& key, std::uint64_t fallback) const;
-  std::string str_or(const std::string& key, const std::string& fallback) const;
-};
-
-/// Parse one JSON value from `text`. Returns false (and fills `error`) on
-/// malformed input; trailing whitespace is allowed, trailing garbage is not.
-bool parse_json(const std::string& text, Json& out, std::string& error);
 
 // ---- Artifact models -------------------------------------------------------
 
@@ -101,112 +80,6 @@ struct FlightFile {
 };
 
 bool parse_flightrec(std::istream& in, FlightFile& out, std::string& error);
-
-/// One per-epoch entry of ota.json's "epochs_log" (mirrors sim::OtaEpochEntry).
-struct OtaEpoch {
-  std::uint64_t epoch = 0;
-  double t_s = 0.0;
-  std::uint32_t version_id = 0;
-  std::string outcome;  ///< provision|promote|rollback|no-change|...
-  std::uint64_t train_rows = 0;
-  std::uint64_t image_bytes = 0;
-  std::uint64_t patch_bytes = 0;
-  std::uint64_t delta_downlink_bytes = 0;
-  std::uint64_t full_broadcast_bytes = 0;
-  std::uint64_t canary_devices = 0;
-  std::uint64_t devices_reporting = 0;
-  double accuracy_old = 0.0;
-  double accuracy_new = 0.0;
-  std::uint64_t devices_updated = 0;
-  std::uint64_t devices_rolled_back = 0;
-  std::uint64_t full_fallbacks = 0;
-  std::uint64_t devices_stuck = 0;
-};
-
-/// The OTA deploy ledger written as ota.json by a FleetSim run with
-/// ota.enabled (the `versions` view's input).
-struct OtaFile {
-  bool enabled = false;
-  std::uint64_t epochs = 0;
-  std::uint64_t versions_published = 0;
-  std::uint64_t delta_downlink_bytes = 0;
-  std::uint64_t full_broadcast_bytes = 0;
-  std::uint64_t probe_uplink_bytes = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t rollbacks = 0;
-  double last_commit_t_s = 0.0;
-  std::uint64_t devices_on_head = 0;
-  std::uint64_t devices_behind = 0;
-  std::uint64_t devices_unprovisioned = 0;
-  std::uint64_t devices_stuck = 0;
-  bool all_devices_verified = false;
-  /// version id -> device count at end of run, ascending ids (0 = none).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> version_histogram;
-  std::vector<OtaEpoch> epochs_log;
-};
-
-bool parse_ota(std::istream& in, OtaFile& out, std::string& error);
-
-/// One ladder move from degradation.json's per-edge timelines (mirrors
-/// sim::DegradeTransitionEntry).
-struct DegradeTransition {
-  double t_s = 0.0;
-  int from = 0;
-  int to = 0;
-};
-
-/// One edge's ladder timeline (mirrors sim::EdgeDegradeTimeline).
-struct DegradeEdge {
-  std::size_t edge = 0;
-  int final_level = 0;
-  double time_at_level_s[4] = {0.0, 0.0, 0.0, 0.0};
-  std::vector<DegradeTransition> transitions;
-};
-
-/// One ledgered approximate window answer (mirrors sim::WindowEstimate).
-struct DegradeWindow {
-  std::size_t edge = 0;
-  double t_s = 0.0;
-  int level = 0;
-  std::uint64_t rows_window = 0;
-  std::uint64_t rows_used = 0;
-  double estimate = 0.0;
-  double half_width = 0.0;
-  double exact = 0.0;
-  bool covered = false;
-};
-
-/// The graceful-degradation ledger written as degradation.json by a FleetSim
-/// run with degrade.enabled (the `degradation` view's input; DESIGN.md §16).
-struct DegradeFile {
-  bool enabled = false;
-  int pin_level = -1;
-  double duration_s = 0.0;
-  std::uint64_t rows_exact = 0;
-  std::uint64_t rows_approx = 0;
-  std::uint64_t rows_sampled_out = 0;
-  std::uint64_t windows_exact = 0;
-  std::uint64_t windows_sampled = 0;
-  std::uint64_t windows_sketch = 0;
-  std::uint64_t windows_summary = 0;
-  std::uint64_t transitions_up = 0;
-  std::uint64_t transitions_down = 0;
-  std::uint64_t summaries_sent = 0;
-  std::uint64_t summaries_delivered = 0;
-  std::uint64_t summary_bytes = 0;
-  std::uint64_t artifact_relays_skipped = 0;
-  std::uint64_t ci_windows = 0;
-  std::uint64_t ci_covered = 0;
-  double coverage = 0.0;
-  double mean_half_width = 0.0;
-  double mean_abs_error = 0.0;
-  double max_abs_error = 0.0;
-  std::uint64_t windows_truncated = 0;
-  std::vector<DegradeEdge> edges;
-  std::vector<DegradeWindow> windows;
-};
-
-bool parse_degradation(std::istream& in, DegradeFile& out, std::string& error);
 
 // ---- Journey reconstruction ------------------------------------------------
 
@@ -286,11 +159,11 @@ std::string render_flight(const FlightFile& flight, std::size_t limit);
 
 /// The `versions` view: per-epoch canary promote/rollback timeline plus the
 /// end-of-run version-chain histogram, from the OTA deploy ledger.
-std::string render_versions(const OtaFile& ota);
+std::string render_versions(const sim::OtaSummary& ota);
 
 /// The `degradation` view: per-edge ladder timeline strips (one character
 /// per time bucket, deeper rungs darker), the exact-vs-approximate window
 /// split, CI coverage, and the first ledgered window estimates.
-std::string render_degradation(const DegradeFile& degrade);
+std::string render_degradation(const sim::DegradationLedger& degrade);
 
 }  // namespace iotml::fleetscope
