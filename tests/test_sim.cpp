@@ -441,6 +441,41 @@ TEST(FleetPin, StandaloneLedgerArtifactsAreByteIdentical) {
             0x71d65e1de72eb0daULL);
 }
 
+// FNV-1a-64 over timeseries.json, journeys.jsonl and flightrec.json, in that
+// order, exactly as write_artifacts renders them.
+std::uint64_t artifact_digest(const obs::Observatory& obsy) {
+  std::ostringstream series, journeys, flight;
+  obsy.series().write_json(series);
+  obsy.journeys().write_jsonl(journeys);
+  obsy.flight().write_json(flight);
+  return fold_digest(fold_digest(fold_digest(kFnv64Basis, series.str()), journeys.str()),
+                     flight.str());
+}
+
+TEST(FleetPin, ObservatoryArtifactsAreByteIdentical) {
+  // Pinned while FleetSim still null-checked an optional observatory at every
+  // recording site and owned the OTA loop inline; re-pin only for a
+  // deliberate behaviour change. Each config's event log must also match its
+  // observatory-off twin.
+  FleetConfig degrade = pinned_degrade_config();
+  degrade.observatory.enabled = true;
+  const std::pair<FleetConfig, std::uint64_t> pins[] = {
+      {pinned_ota_config(), 0x7a5e7a95f8758880ULL}, {degrade, 0xe84d023e3440b594ULL}};
+  for (const auto& [config, digest] : pins) {
+    FleetSim on(config);
+    on.run();
+    ASSERT_NE(on.observatory(), nullptr);
+    EXPECT_EQ(artifact_digest(*on.observatory()), digest);
+
+    FleetConfig off_config = config;
+    off_config.observatory.enabled = false;
+    FleetSim off(off_config);
+    off.run();
+    EXPECT_EQ(off.observatory(), nullptr);
+    EXPECT_EQ(on.event_log(), off.event_log());
+  }
+}
+
 TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   // Keeps the pins honest: each pinned fleet must drive the paths it claims.
   FleetSim ota_fleet(pinned_ota_config());
