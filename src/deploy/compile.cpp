@@ -210,4 +210,25 @@ CompiledModel compile(const kernels::KernelRidge& krr,
   return model;
 }
 
+CompiledModel fit_and_compile(ModelKind kind, const data::Dataset& train) {
+  switch (kind) {
+    case ModelKind::kTree: {
+      learners::DecisionTree tree;
+      tree.fit(train);
+      return compile(tree, train);
+    }
+    case ModelKind::kLinear: {
+      learners::LogisticRegression lr;
+      lr.fit(train);
+      return compile(lr, train);
+    }
+    case ModelKind::kNaiveBayes: {
+      learners::NaiveBayes nb;
+      nb.fit(train);
+      return compile(nb, train);
+    }
+  }
+  return {};
+}
+
 }  // namespace iotml::deploy

@@ -44,4 +44,8 @@ CompiledModel compile(const learners::NaiveBayes& model, const data::Dataset& tr
 CompiledModel compile(const kernels::KernelRidge& model,
                       const std::vector<std::string>& feature_names);
 
+/// Fit a fresh learner of `kind` (decision tree, logistic regression or
+/// naive Bayes) on labeled `train` and lower it.
+CompiledModel fit_and_compile(ModelKind kind, const data::Dataset& train);
+
 }  // namespace iotml::deploy

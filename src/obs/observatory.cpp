@@ -5,8 +5,12 @@
 
 namespace iotml::obs {
 
+Observatory::Observatory() noexcept
+    : series_(1), journeys_(1), flight_(0, 1) {}
+
 Observatory::Observatory(std::size_t entities, ObservatoryOptions options)
-    : options_(options),
+    : enabled_(true),
+      options_(options),
       series_(options.series_capacity),
       journeys_(options.journey_capacity),
       flight_(entities, options.flight_ring) {}

@@ -102,10 +102,10 @@ TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_series)
   IOTML_CHECK(capacity_ >= 1, "TimeSeriesStore: capacity must be at least 1");
 }
 
-Sampler& TimeSeriesStore::series(const std::string& metric, const std::string& entity,
-                                 const std::string& tier) {
+Sampler& TimeSeriesStore::series(std::string_view metric, std::string_view entity,
+                                 std::string_view tier) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = series_[SeriesKey{metric, entity, tier}];
+  auto& slot = series_[SeriesKey{std::string(metric), std::string(entity), std::string(tier)}];
   if (!slot) slot = std::make_unique<Sampler>(capacity_);
   return *slot;
 }

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iotml::obs {
@@ -112,8 +113,8 @@ class TimeSeriesStore {
  public:
   explicit TimeSeriesStore(std::size_t capacity_per_series = 512);
 
-  Sampler& series(const std::string& metric, const std::string& entity,
-                  const std::string& tier);
+  Sampler& series(std::string_view metric, std::string_view entity,
+                  std::string_view tier);
 
   std::size_t series_count() const;
   std::uint64_t samples_total() const;

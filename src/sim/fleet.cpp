@@ -2,21 +2,20 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <numbers>
 #include <numeric>
 #include <utility>
 
-#include "deploy/codec.hpp"
 #include "deploy/compile.hpp"
 #include "deploy/quantize.hpp"
 #include "learners/decision_tree.hpp"
-#include "learners/logistic.hpp"
-#include "learners/naive_bayes.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
+#include "sim/ota_loop.hpp"
 #include "util/error.hpp"
 
 namespace iotml::sim {
@@ -79,6 +78,26 @@ void add_reduce_stage(pipeline::Pipeline& full, std::size_t keep) {
   }, "core-operator", Tier::kCore);
 }
 
+obs::Observatory make_observatory(const ObservatoryConfig& config, std::size_t entities) {
+  if (!config.enabled) return obs::Observatory();
+  return obs::Observatory(entities, {.series_capacity = config.series_capacity,
+                                     .flight_ring = config.flight_ring,
+                                     .journey_capacity = config.journey_capacity});
+}
+
+/// Drop the timestamp column: the analytics label is a function of time
+/// inside the window, so keeping it would let a learner take a clock
+/// shortcut instead of learning the sensed world.
+data::Dataset sensor_features(const data::Dataset& ds) {
+  std::vector<std::size_t> feature_cols;
+  for (std::size_t c = 0; c < ds.num_columns(); ++c) {
+    if (ds.column(c).name() != "timestamp") feature_cols.push_back(c);
+  }
+  return feature_cols.empty() || feature_cols.size() == ds.num_columns()
+             ? ds
+             : ds.select_columns(feature_cols);
+}
+
 }  // namespace
 
 pipeline::Pipeline default_fleet_pipeline(const FleetConfig& config) {
@@ -106,7 +125,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     : config_(config),
       topo_(net::Topology::fleet(config.devices, config.edges,
                                  config.device_edge_link, config.edge_core_link)),
-      tiers_(split_by_tier(std::move(full_pipeline))) {
+      tiers_(split_by_tier(std::move(full_pipeline))),
+      obsy_(make_observatory(config.observatory, topo_.num_nodes())) {
   IOTML_CHECK(config.duration_s > 0.0, "FleetSim: duration must be positive");
   IOTML_CHECK(config.device_flush_s > 0.0 && config.edge_flush_s > 0.0,
               "FleetSim: flush intervals must be positive");
@@ -120,15 +140,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     IOTML_CHECK(config.deploy.score_window_s > 0.0,
                 "FleetSim: deploy score window must be positive");
   }
-  if (config.ota.enabled) {
-    IOTML_CHECK(config.ota.epochs >= 1, "FleetSim: ota.epochs must be >= 1");
-    IOTML_CHECK(config.ota.chunk_bytes >= 1, "FleetSim: ota.chunk_bytes must be >= 1");
-    IOTML_CHECK(config.ota.canary_fraction >= 0.0 && config.ota.canary_fraction <= 1.0,
-                "FleetSim: ota.canary_fraction outside [0, 1]");
-    IOTML_CHECK(config.ota.resume_timeout_s > 0.0 && config.ota.verdict_delay_s > 0.0,
-                "FleetSim: ota timeouts must be positive");
-    IOTML_CHECK(config.ota.epoch_jitter_s >= 0.0, "FleetSim: negative ota epoch jitter");
-  }
+  if (config.ota.enabled) OtaLoop::validate(config.ota);
   if (config.telemetry.enabled) {
     IOTML_CHECK(config.telemetry.scale_bits <= 52,
                 "FleetSim: telemetry.scale_bits must be <= 52");
@@ -180,8 +192,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   // The OTA streams split off after every earlier stream (appended to the
   // manifest in this order), so prior-seed event logs stay byte-identical
   // when OTA is off.
-  canary_rng_ = master.split();  // rng-stream: canary
-  epoch_rng_ = master.split();  // rng-stream: epoch
+  Rng canary_rng = master.split();  // rng-stream: canary
+  Rng epoch_rng = master.split();  // rng-stream: epoch
   // The degradation-sampling stream splits off after every earlier stream,
   // so L0-only and degrade-off runs replay historical draw sequences.
   degrade_rng_ = master.split();  // rng-stream: degrade
@@ -219,10 +231,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   edge_checkpoints_.resize(config.edges);
   device_sf_.resize(config.devices);
   device_scored_.assign(config.devices, 0);
-  if (config.ota.enabled) {
-    ota_stores_.resize(config.devices);
-    ota_active_transfer_.assign(config.devices, kNoMessage);
-  }
   if (config.degrade.enabled) {
     degrade_ctrl_.reserve(config.edges);
     for (std::size_t e = 0; e < config.edges; ++e) {
@@ -245,14 +253,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
       device_logs_.emplace_back(config.telemetry.device_log_bytes);
     }
     report_.telemetry.enabled = true;
-  }
-
-  if (config_.observatory.enabled) {
-    obs::ObservatoryOptions opts;
-    opts.series_capacity = config_.observatory.series_capacity;
-    opts.flight_ring = config_.observatory.flight_ring;
-    opts.journey_capacity = config_.observatory.journey_capacity;
-    obsy_.emplace(topo_.num_nodes(), opts);
   }
 
   generate_device_data();
@@ -301,8 +301,13 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     }
   }
 
-  if (config.ota.enabled) schedule_ota_epochs();
+  if (config.ota.enabled) {
+    ota_ = std::make_unique<OtaLoop>(config_, FleetSurface(*this), std::move(canary_rng),
+                                     std::move(epoch_rng));
+  }
 }
+
+FleetSim::~FleetSim() = default;
 
 void FleetSim::generate_device_data() {
   static const char* kQuantity[3] = {"temperature", "humidity", "wind"};
@@ -392,7 +397,7 @@ FleetReport FleetSim::run() {
   finalize();
   if (degrade_on()) finalize_degradation();
   if (config_.deploy.enabled) run_deploy_phase();
-  if (config_.ota.enabled) finalize_ota();
+  if (ota_) report_.deploy.ota = ota_->finalize();
 
   // Stranded rows are booked last: the deploy phase can still crash an edge
   // (chaos crash_during_broadcast), which books the rows it had not persisted
@@ -428,10 +433,10 @@ FleetReport FleetSim::run() {
     run_span.arg("events", static_cast<std::uint64_t>(report_.events));
     run_span.arg("rows_delivered", static_cast<std::uint64_t>(report_.rows_delivered));
   }
-  if (obsy_ && !config_.observatory.artifact_dir.empty()) {
+  if (observatory() != nullptr && !config_.observatory.artifact_dir.empty()) {
     // Best-effort: an unwritable artifact dir must not fail a finished run.
-    obsy_->write_artifacts(config_.observatory.artifact_dir, sched_.log());
-    if (config_.ota.enabled) {
+    obsy_.write_artifacts(config_.observatory.artifact_dir, sched_.log());
+    if (ota_) {
       std::ofstream ota_out(config_.observatory.artifact_dir + "/ota.json");
       if (ota_out) ota_out << ota_to_json(report_.deploy.ota);
     }
@@ -534,22 +539,12 @@ void FleetSim::handle(const Event& event) {
       handle_checkpoint(event.target);
       break;
     case EventKind::kOtaEpoch:
-      handle_ota_epoch(event);
-      break;
     case EventKind::kOtaChunkArrival:
-      handle_ota_chunk_arrival(event);
-      break;
     case EventKind::kOtaResume:
-      handle_ota_resume(event);
-      break;
     case EventKind::kOtaReportArrival:
-      handle_ota_report_arrival(event);
-      break;
     case EventKind::kOtaVerdict:
-      handle_ota_verdict(event);
-      break;
     case EventKind::kOtaControlArrival:
-      handle_ota_control_arrival(event);
+      ota_->handle(event);
       break;
     case EventKind::kLoadStormStart:
       set_load_storm(true, event.time_s);
@@ -609,21 +604,11 @@ void FleetSim::handle_device_flush(const Event& event) {
     // rows lists this id in its parents, which is what lets fleetscope
     // reconstruct the device -> edge -> core journey after batching.
     out.parents = {next_trace_++};
-    if (obsy_) {
-      obs::HopRecord origin;
-      origin.trace = out.parents.front();
-      origin.kind = obs::HopKind::kOrigin;
-      origin.src = d;
-      origin.dst = d;
-      origin.t0_s = event.time_s;
-      origin.t1_s = event.time_s;
-      origin.rows = out.row_count;
-      obsy_->journeys().record(std::move(origin));
-      obsy_->flight().note(d, event.time_s, "flush", out.row_count);
-      obsy_->series()
-          .series("flush.rows", "fleet", "device")
-          .record(event.time_s, static_cast<double>(out.row_count));
-    }
+    obsy_.origin(out.parents.front(), obs::HopStream::kRows, d, event.time_s, out.row_count,
+                 0);
+    obsy_.note(d, event.time_s, "flush", out.row_count);
+    obsy_.sample("flush.rows", "fleet", "device", event.time_s,
+                 static_cast<double>(out.row_count));
   }
   if (!topo_.node(d).up) {
     // Reaching here offline implies sf: the bufferless case returned above.
@@ -651,9 +636,7 @@ void FleetSim::handle_device_flush(const Event& event) {
       merged.row_count += pending.row_count;
       device_sf_[d].pop_front();
     }
-    if (obsy_ && merged.row_count > 0) {
-      obsy_->flight().note(d, event.time_s, "sf-drain", merged.row_count);
-    }
+    if (merged.row_count > 0) obsy_.note(d, event.time_s, "sf-drain", merged.row_count);
     // A full drain empties the ring log with it: the backlog leaves as one
     // merged frame, re-encoded by send().
     if (telemetry_on()) device_logs_[d].clear();
@@ -673,11 +656,8 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   Buffer& buf = edge_buffers_[edge_index];
   if (buf.row_count == 0) return;
   const net::NodeId e = topo_.edge(edge_index);
-  if (obsy_) {
-    obsy_->series()
-        .series("buffer.rows", topo_.node(e).name, "edge")
-        .record(now_s, static_cast<double>(buf.row_count));
-  }
+  obsy_.sample("buffer.rows", topo_.node(e).name, "edge", now_s,
+               static_cast<double>(buf.row_count));
   if (!topo_.node(e).up) return;  // hold the buffer until the edge recovers
 
   // Ladder decision (DESIGN.md §16): the controller steps on the edge's own
@@ -752,7 +732,7 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   out.rows = std::move(merged);
   out.origin_s = std::move(buf.origin_s);
   out.parents = std::move(buf.parents);
-  if (obsy_) obsy_->flight().note(e, now_s, "edge-flush", out.row_count);
+  obsy_.note(e, now_s, "edge-flush", out.row_count);
   buf = Buffer{};
   // The flush ships these rows upstream, so the checkpoint covering them is
   // retired with the buffer — a later restore must never resurrect rows
@@ -831,14 +811,10 @@ int FleetSim::degrade_update(std::size_t edge_index, double now_s,
     }
     obs::registry().counter("sim.degrade.transitions").add();
     const net::NodeId e = topo_.edge(edge_index);
-    if (obsy_) {
-      obsy_->flight().note(e, now_s, "degrade-level",
-                           static_cast<std::size_t>(before),
-                           static_cast<std::size_t>(after));
-      obsy_->series()
-          .series("degrade.level", topo_.node(e).name, "edge")
-          .record(now_s, static_cast<double>(static_cast<int>(after)));
-    }
+    obsy_.note(e, now_s, "degrade-level", static_cast<std::size_t>(before),
+               static_cast<std::size_t>(after));
+    obsy_.sample("degrade.level", topo_.node(e).name, "edge", now_s,
+                 static_cast<double>(static_cast<int>(after)));
   }
   return static_cast<int>(after);
 }
@@ -963,12 +939,9 @@ void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
   report_.stage_reports.push_back(std::move(st));
 
   const net::NodeId e = topo_.edge(edge_index);
-  if (obsy_) {
-    obsy_->flight().note(e, now_s, "degrade-sample", population, keep.size());
-    obsy_->series()
-        .series("degrade.sampled_rows", topo_.node(e).name, "edge")
-        .record(now_s, static_cast<double>(keep.size()));
-  }
+  obsy_.note(e, now_s, "degrade-sample", population, keep.size());
+  obsy_.sample("degrade.sampled_rows", topo_.node(e).name, "edge", now_s,
+               static_cast<double>(keep.size()));
 }
 
 void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
@@ -1039,13 +1012,9 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
   st.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
   report_.stage_reports.push_back(std::move(st));
 
-  if (obsy_) {
-    obsy_->flight().note(e, now_s, "degrade-shed", population,
-                         static_cast<std::size_t>(level));
-    obsy_->series()
-        .series("degrade.shed_rows", topo_.node(e).name, "edge")
-        .record(now_s, static_cast<double>(population));
-  }
+  obsy_.note(e, now_s, "degrade-shed", population, static_cast<std::size_t>(level));
+  obsy_.sample("degrade.shed_rows", topo_.node(e).name, "edge", now_s,
+               static_cast<double>(population));
 
   // Summary uplink: fixed-size, fire-and-forget semantics even on ack
   // channels — a lost summary only costs observability, never rows, so the
@@ -1077,11 +1046,8 @@ void FleetSim::handle_summary_arrival(const Event& event) {
   if (!topo_.node(topo_.core()).up) return;  // nobody listening; summary dies
   s.delivered = true;
   ++report_.degradation.summaries_delivered;
-  if (obsy_) {
-    obsy_->flight().note(topo_.core(), event.time_s, "rx-summary",
-                         static_cast<std::size_t>(s.rows_represented),
-                         static_cast<std::size_t>(s.level));
-  }
+  obsy_.note(topo_.core(), event.time_s, "rx-summary",
+             static_cast<std::size_t>(s.rows_represented), static_cast<std::size_t>(s.level));
 }
 
 void FleetSim::set_load_storm(bool on, double now_s) {
@@ -1251,10 +1217,8 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     frame.hop = msg.trace.hop;
     frame.t0_s = now_s;
     frame.outcome = "receiver_down";
-    if (obsy_) {
-      obsy_->journeys().record(frame);
-      obsy_->flight().note(from, now_s, frame.outcome, rows, bytes);
-    }
+    obsy_.record(frame);
+    obsy_.note(from, now_s, frame.outcome, rows, bytes);
     keep_rows(false);
     return;
   }
@@ -1274,7 +1238,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   const net::ChannelOutcome out =
       transmit(frame, EventKind::kArrival, messages_.size(), now_s);
   msg.trace.id = frame.trace;
-  if (obsy_) obsy_->flight().note(from, now_s, frame.outcome, rows, bytes);
+  obsy_.note(from, now_s, frame.outcome, rows, bytes);
   if (degrade_on()) {
     // Fold the post-send queue depth into the owning edge's congestion
     // hint; its controller reads (and resets) the max at its next update.
@@ -1364,7 +1328,7 @@ net::ChannelOutcome FleetSim::transmit(obs::HopRecord& frame, EventKind arrival,
                   : out.corrupted ? "corrupt"
                   : !out.delivered ? (ack ? "timeout" : "dropped")
                                    : "delivered";
-  if (obsy_) obsy_->journeys().record(frame);
+  obsy_.record(frame);
   if (out.delivered) schedule_arrival(out, arrival, frame.dst, message);
   return out;
 }
@@ -1403,9 +1367,7 @@ void FleetSim::handle_arrival(const Event& event) {
     obs::registry().counter("sim.net.rows_corrupt_rejected").add(msg.payload.rows());
     journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
                    "corrupt_rejected");
-    if (obsy_) {
-      obsy_->flight().note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
-    }
+    obsy_.note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
     return;
   }
   // Receivers verify every frame: an intact arrival must re-hash to its
@@ -1427,30 +1389,20 @@ void FleetSim::handle_arrival(const Event& event) {
   if (node == topo_.core()) {
     lat_edge_core_.record(hop_latency_s);
     for (double origin : msg.origin_s) lat_end_to_end_.record(event.time_s - origin);
-    if (obsy_) {
-      obsy_->flight().note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
-      obsy_->series()
-          .series("uplink.latency_s", "core", "core")
-          .record(event.time_s, hop_latency_s);
-      obsy_->series()
-          .series("uplink.rows", "core", "core")
-          .record(event.time_s, static_cast<double>(msg.payload.rows()));
-    }
+    obsy_.note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
+    obsy_.sample("uplink.latency_s", "core", "core", event.time_s, hop_latency_s);
+    obsy_.sample("uplink.rows", "core", "core", event.time_s,
+                 static_cast<double>(msg.payload.rows()));
     report_.rows_delivered += msg.payload.rows();
     core_buffer_.rows.append_rows(msg.payload);
     core_buffer_.row_count += msg.payload.rows();
   } else {
     lat_device_edge_.record(hop_latency_s);
-    if (obsy_) {
-      const std::string& entity = topo_.node(node).name;
-      obsy_->flight().note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
-      obsy_->series()
-          .series("uplink.latency_s", entity, "edge")
-          .record(event.time_s, hop_latency_s);
-      obsy_->series()
-          .series("uplink.rows", entity, "edge")
-          .record(event.time_s, static_cast<double>(msg.payload.rows()));
-    }
+    const std::string& entity = topo_.node(node).name;
+    obsy_.note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
+    obsy_.sample("uplink.latency_s", entity, "edge", event.time_s, hop_latency_s);
+    obsy_.sample("uplink.rows", entity, "edge", event.time_s,
+                 static_cast<double>(msg.payload.rows()));
     Buffer& buf = edge_buffers_[node - config_.devices];
     if (!msg.tdf_frame.empty()) {
       // The decode is load-bearing: the edge reconstructs the rows from the
@@ -1483,19 +1435,10 @@ void FleetSim::handle_arrival(const Event& event) {
 void FleetSim::handle_checkpoint(std::size_t edge_index) {
   if (!topo_.node(topo_.edge(edge_index)).up) return;  // crashed edges can't persist
   const Buffer& buf = edge_buffers_[edge_index];
-  Buffer snap;
-  snap.rows = buf.rows;
-  snap.origin_s = buf.origin_s;
-  snap.row_count = buf.row_count;
-  snap.parents = buf.parents;
-  snap.strata = buf.strata;
-  edge_checkpoints_[edge_index] = std::move(snap);
+  edge_checkpoints_[edge_index] = buf;
   ++report_.faults.checkpoints_written;
   obs::registry().counter("sim.recovery.checkpoints_written").add();
-  if (obsy_) {
-    obsy_->flight().note(topo_.edge(edge_index), sched_.now_s(), "checkpoint",
-                         buf.row_count);
-  }
+  obsy_.note(topo_.edge(edge_index), sched_.now_s(), "checkpoint", buf.row_count);
 }
 
 void FleetSim::handle_edge_crash(std::size_t edge_index) {
@@ -1526,11 +1469,7 @@ void FleetSim::handle_edge_restart(std::size_t edge_index) {
   Buffer& buf = edge_buffers_[edge_index];
   IOTML_INTERNAL_CHECK(buf.row_count == 0,
                        "FleetSim: restart over a live edge buffer");
-  buf.rows = ckpt.rows;
-  buf.origin_s = ckpt.origin_s;
-  buf.row_count = ckpt.row_count;
-  buf.parents = ckpt.parents;
-  buf.strata = ckpt.strata;
+  buf = ckpt;
   ++report_.faults.checkpoints_restored;
   report_.faults.rows_recovered += ckpt.row_count;
   obs::registry().counter("sim.recovery.checkpoints_restored").add();
@@ -1673,24 +1612,22 @@ void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
 void FleetSim::journey_arrive(const Event& event, obs::HopStream stream,
                               std::uint64_t trace, std::size_t rows,
                               const char* outcome) {
-  if (!obsy_) return;
   const net::NodeId node = event.target;
-  obs::HopRecord r;
-  r.trace = trace;
-  r.hop = node >= config_.devices && node != topo_.core() ? 0 : 1;
-  r.kind = obs::HopKind::kArrive;
-  r.stream = stream;
-  r.src = node;
-  r.dst = node;
-  r.t0_s = event.time_s;
-  r.t1_s = event.time_s;
-  r.rows = rows;
-  r.outcome = outcome;
-  obsy_->journeys().record(std::move(r));
+  obsy_.record({.trace = trace,
+                .hop = node >= config_.devices && node != topo_.core() ? 0U : 1U,
+                .kind = obs::HopKind::kArrive,
+                .stream = stream,
+                .src = node,
+                .dst = node,
+                .t0_s = event.time_s,
+                .t1_s = event.time_s,
+                .rows = rows,
+                .outcome = outcome,
+                .parents = {}});
 }
 
 void FleetSim::flight_dump(net::NodeId entity, const char* trigger, double t_s) {
-  if (!obsy_) return;
+  if (!obsy_.enabled()) return;
   FaultLedger& faults = report_.faults;
   if (faults.flight_dumps.size() >= kMaxFlightDumps) {
     ++faults.flight_dumps_truncated;
@@ -1700,7 +1637,7 @@ void FleetSim::flight_dump(net::NodeId entity, const char* trigger, double t_s) 
   dump.entity = topo_.node(entity).name;
   dump.trigger = trigger;
   dump.t_s = t_s;
-  dump.events = obsy_->flight().dump_lines(entity);
+  dump.events = obsy_.flight().dump_lines(entity);
   faults.flight_dumps.push_back(std::move(dump));
 }
 
@@ -1720,38 +1657,13 @@ void FleetSim::finalize() {
   }
   if (core_buffer_.row_count == 0) return;
 
-  std::vector<std::size_t> order(core_buffer_.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const data::Column& ts = core_buffer_.rows.column(0);
-  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-    return ts.numeric(a) < ts.numeric(b);
-  });
-  data::Dataset ds = core_buffer_.rows.select_rows(order);
-
-  std::vector<int> labels;
-  labels.reserve(ds.rows());
-  for (std::size_t r = 0; r < ds.rows(); ++r) {
-    labels.push_back(truth_label(ds.column(0).numeric(r)));
-  }
-  ds.set_labels(std::move(labels));
-
-  ds = tiers_.core.run(std::move(ds), core_rng_);
+  data::Dataset ds = tiers_.core.run(labeled_core_rows(), core_rng_);
   for (const StageReport& r : tiers_.core.reports()) {
     report_.stage_reports.push_back(r);
   }
 
   const std::int64_t start_us = obs::now_us();
-  // Train on sensor features only: the label is a function of time inside
-  // this window, so keeping the timestamp column would let the tree learn a
-  // clock shortcut instead of the sensed world.
-  std::vector<std::size_t> feature_cols;
-  for (std::size_t c = 0; c < ds.num_columns(); ++c) {
-    if (ds.column(c).name() != "timestamp") feature_cols.push_back(c);
-  }
-  const data::Dataset features =
-      feature_cols.empty() || feature_cols.size() == ds.num_columns()
-          ? ds
-          : ds.select_columns(feature_cols);
+  const data::Dataset features = sensor_features(ds);
   std::vector<std::size_t> train_idx;
   std::vector<std::size_t> test_idx;
   for (std::size_t i = 0; i < features.rows(); ++i) {
@@ -1792,30 +1704,59 @@ int FleetSim::truth_label(double time_s) const {
   return temp >= 20.0 && temp <= 28.0 ? 1 : 0;
 }
 
-namespace {
-
-deploy::CompiledModel compile_for(deploy::ModelKind kind, const data::Dataset& train) {
-  switch (kind) {
-    case deploy::ModelKind::kTree: {
-      learners::DecisionTree tree;
-      tree.fit(train);
-      return deploy::compile(tree, train);
-    }
-    case deploy::ModelKind::kLinear: {
-      learners::LogisticRegression lr;
-      lr.fit(train);
-      return deploy::compile(lr, train);
-    }
-    case deploy::ModelKind::kNaiveBayes: {
-      learners::NaiveBayes nb;
-      nb.fit(train);
-      return deploy::compile(nb, train);
-    }
+data::Dataset FleetSim::labeled_core_rows() const {
+  std::vector<std::size_t> order(core_buffer_.row_count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const data::Column& ts = core_buffer_.rows.column(0);
+  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
+    return ts.numeric(a) < ts.numeric(b);
+  });
+  data::Dataset ds = core_buffer_.rows.select_rows(order);
+  std::vector<int> labels;
+  labels.reserve(ds.rows());
+  for (std::size_t r = 0; r < ds.rows(); ++r) {
+    labels.push_back(truth_label(ds.column(0).numeric(r)));
   }
-  return {};
+  ds.set_labels(std::move(labels));
+  return ds;
 }
 
-}  // namespace
+FleetSurface::FleetSurface(FleetSim& fleet) noexcept
+    : sched(fleet.sched_), topo(fleet.topo_), obsy(fleet.obsy_), fleet_(fleet) {}
+
+net::ChannelOutcome FleetSurface::send_hop(obs::HopRecord& frame, EventKind arrival,
+                                           std::size_t message, double now_s) {
+  // Member-call syntax on a transmit is reserved for net::Link (lint rule R8).
+  return std::invoke(&FleetSim::transmit, fleet_, frame, arrival, message, now_s);
+}
+
+void FleetSurface::journey_arrive(const Event& event, obs::HopStream stream,
+                                  std::uint64_t trace, std::size_t rows,
+                                  const char* outcome) {
+  fleet_.journey_arrive(event, stream, trace, rows, outcome);
+}
+
+std::uint64_t FleetSurface::next_trace() noexcept { return fleet_.next_trace_++; }
+
+data::Dataset FleetSurface::training_set() const {
+  if (fleet_.core_buffer_.row_count == 0) return {};
+  return sensor_features(fleet_.labeled_core_rows());
+}
+
+data::Dataset FleetSurface::recent_rows(std::size_t device, double before_s,
+                                        std::size_t count) const {
+  const data::Dataset& all = fleet_.device_data_[device];
+  std::size_t upto = 0;
+  while (upto < all.rows() && all.column(0).numeric(upto) < before_s) ++upto;
+  std::vector<std::size_t> idx(std::min(count, upto));
+  std::iota(idx.begin(), idx.end(), upto - idx.size());
+  data::Dataset rows = all.select_rows(idx);
+  std::vector<int> labels;
+  labels.reserve(idx.size());
+  for (const std::size_t r : idx) labels.push_back(fleet_.truth_label(all.column(0).numeric(r)));
+  rows.set_labels(std::move(labels));
+  return rows;
+}
 
 void FleetSim::prepare_deploy() {
   obs::Span span("sim.deploy_prepare", "deploy");
@@ -1827,7 +1768,7 @@ void FleetSim::prepare_deploy() {
   // worth shipping. The summary stays enabled with every device missed.
   if (deploy_train_.rows() == 0 || deploy_test_.rows() == 0) return;
 
-  deploy::CompiledModel f32 = compile_for(config_.deploy.model, deploy_train_);
+  deploy::CompiledModel f32 = deploy::fit_and_compile(config_.deploy.model, deploy_train_);
   d.artifact_bytes_float32 = f32.size_bytes();
   if (config_.deploy.precision == deploy::Precision::kFloat32) {
     d.holdout_accuracy_float = deploy::holdout_accuracy(f32, deploy_test_);
@@ -1859,7 +1800,7 @@ void FleetSim::prepare_deploy() {
       std::vector<std::size_t> idx(half);
       std::iota(idx.begin(), idx.end(), std::size_t{0});
       deploy::CompiledModel prior =
-          compile_for(config_.deploy.model, deploy_train_.select_rows(idx));
+          deploy::fit_and_compile(config_.deploy.model, deploy_train_.select_rows(idx));
       if (config_.deploy.precision == deploy::Precision::kFloat32) {
         stale_model_ = std::move(prior);
       } else {
@@ -1921,20 +1862,9 @@ void FleetSim::handle_deploy_broadcast(const Event& event) {
   // The broadcast's root trace id: every downlink frame of this epoch lists
   // it as parent, so fleetscope can reconstruct the artifact's journey.
   broadcast_trace_ = next_trace_++;
-  if (obsy_) {
-    obs::HopRecord origin;
-    origin.trace = broadcast_trace_;
-    origin.kind = obs::HopKind::kOrigin;
-    origin.stream = obs::HopStream::kArtifact;
-    origin.src = topo_.core();
-    origin.dst = topo_.core();
-    origin.t0_s = event.time_s;
-    origin.t1_s = event.time_s;
-    origin.bytes = artifact_wire_bytes_;
-    obsy_->journeys().record(std::move(origin));
-    obsy_->flight().note(topo_.core(), event.time_s, "broadcast", config_.edges,
-                         artifact_wire_bytes_);
-  }
+  obsy_.origin(broadcast_trace_, obs::HopStream::kArtifact, topo_.core(), event.time_s, 0,
+               artifact_wire_bytes_);
+  obsy_.note(topo_.core(), event.time_s, "broadcast", config_.edges, artifact_wire_bytes_);
   for (std::size_t j = 0; j < config_.edges; ++j) {
     send_artifact(topo_.edge(j), event.time_s);
   }
@@ -1962,9 +1892,7 @@ void FleetSim::handle_artifact_arrival(const Event& event) {
     journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0, "duplicate");
     return;
   }
-  if (obsy_ && topo_.node(node).up) {
-    obsy_->flight().note(node, event.time_s, "rx-artifact", artifact_wire_bytes_);
-  }
+  if (topo_.node(node).up) obsy_.note(node, event.time_s, "rx-artifact", artifact_wire_bytes_);
   journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0,
                  topo_.node(node).up ? "accepted" : "dead_receiver");
   if (node >= config_.devices) {
@@ -2041,20 +1969,9 @@ void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
   batch.wire_bytes = net::kMessageHeaderBytes + 4 + (count + 7) / 8;
   pred_batches_.push_back(batch);
   pred_traces_.push_back(next_trace_++);
-  if (obsy_) {
-    obs::HopRecord origin;
-    origin.trace = pred_traces_.back();
-    origin.kind = obs::HopKind::kOrigin;
-    origin.stream = obs::HopStream::kPredictions;
-    origin.src = device;
-    origin.dst = device;
-    origin.t0_s = now_s;
-    origin.t1_s = now_s;
-    origin.rows = count;
-    origin.bytes = batch.wire_bytes;
-    obsy_->journeys().record(std::move(origin));
-    obsy_->flight().note(device, now_s, stale ? "score-stale" : "score", count);
-  }
+  obsy_.origin(pred_traces_.back(), obs::HopStream::kPredictions, device, now_s, count,
+               batch.wire_bytes);
+  obsy_.note(device, now_s, stale ? "score-stale" : "score", count);
   send_predictions(device, pred_batches_.size() - 1, now_s);
 }
 
@@ -2086,646 +2003,13 @@ void FleetSim::handle_prediction_arrival(const Event& event) {
     report_.deploy.predictions_correct += batch.correct;
     obs::registry().counter("deploy.predictions_delivered").add(batch.rows);
     journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows, "accepted");
-    if (obsy_) {
-      obsy_->flight().note(node, event.time_s, "rx-predictions", batch.rows);
-    }
+    obsy_.note(node, event.time_s, "rx-predictions", batch.rows);
     return;
   }
   journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows,
                  topo_.node(node).up ? "accepted" : "dead_receiver");
   if (!topo_.node(node).up) return;  // stranded at a down edge
   send_predictions(node, event.message, event.time_s);
-}
-
-// ---- OTA delta updates (DESIGN.md §14) ------------------------------------
-
-void FleetSim::schedule_ota_epochs() {
-  // Epochs fire *inside* the learning window, evenly spaced at
-  // duration * (e+1)/(epochs+1), plus a seeded jitter that desynchronizes
-  // retrains from the flush schedule — so chaos windows genuinely overlap
-  // patch transfers.
-  for (int e = 0; e < config_.ota.epochs; ++e) {
-    const double base = config_.duration_s * static_cast<double>(e + 1) /
-                        static_cast<double>(config_.ota.epochs + 1);
-    const double jitter = config_.ota.epoch_jitter_s > 0.0
-                              ? epoch_rng_.uniform(0.0, config_.ota.epoch_jitter_s)
-                              : 0.0;
-    sched_.push(base + jitter, EventKind::kOtaEpoch, topo_.core(),
-                static_cast<std::size_t>(e));
-  }
-}
-
-void FleetSim::handle_ota_epoch(const Event& event) {
-  OtaSummary& ota = report_.deploy.ota;
-  const int epoch = static_cast<int>(event.message);
-
-  // Newest version wins. In-flight transfers for older rollouts stop (their
-  // chunks count as stale on arrival), and a rollout still waiting on its
-  // verdict is superseded outright — its canaries simply join this epoch's
-  // base population, one version behind.
-  for (std::size_t d = 0; d < config_.devices; ++d) {
-    const std::size_t t = ota_active_transfer_[d];
-    if (t != kNoMessage) ota_transfers_[t].done = true;
-  }
-  for (OtaRollout& prior : ota_rollouts_) {
-    if (!prior.verdict_issued) {
-      prior.verdict_issued = true;
-      ota.epochs_log[prior.entry].outcome = "superseded";
-    }
-  }
-
-  ota.epochs_log.push_back({});
-  OtaEpochEntry& entry = ota.epochs_log.back();
-  entry.epoch = epoch;
-  entry.t_s = event.time_s;
-
-  if (!topo_.node(topo_.core()).up) {
-    entry.outcome = "core-down";
-    return;
-  }
-  if (core_buffer_.row_count < config_.ota.min_train_rows) {
-    entry.outcome = "no-data";
-    return;
-  }
-
-  // Retrain on everything the core has integrated so far, time-ordered and
-  // labeled the same way finalize() does. The timestamp column is dropped
-  // (same clock-shortcut reason); the full sensor schema is kept — no
-  // per-epoch MI reduction — so the artifact schema stays stable across
-  // epochs and consecutive images stay delta-friendly.
-  std::vector<std::size_t> order(core_buffer_.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  {
-    const data::Column& ts = core_buffer_.rows.column(0);
-    std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-      return ts.numeric(a) < ts.numeric(b);
-    });
-  }
-  data::Dataset ds = core_buffer_.rows.select_rows(order);
-  std::vector<int> labels;
-  labels.reserve(ds.rows());
-  for (std::size_t r = 0; r < ds.rows(); ++r) {
-    labels.push_back(truth_label(ds.column(0).numeric(r)));
-  }
-  ds.set_labels(std::move(labels));
-  std::vector<std::size_t> feature_cols;
-  for (std::size_t c = 0; c < ds.num_columns(); ++c) {
-    if (ds.column(c).name() != "timestamp") feature_cols.push_back(c);
-  }
-  const data::Dataset train =
-      feature_cols.empty() || feature_cols.size() == ds.num_columns()
-          ? ds
-          : ds.select_columns(feature_cols);
-  entry.train_rows = train.rows();
-
-  deploy::CompiledModel model = compile_for(config_.deploy.model, train);
-  if (config_.deploy.precision != deploy::Precision::kFloat32) {
-    model = deploy::quantize(model, config_.deploy.precision);
-  }
-  std::vector<std::uint8_t> image = model.encode();
-  const std::uint32_t target = ota::image_checksum(image);
-  entry.image_bytes = image.size();
-
-  // Counterfactual ledger: the naive pipeline re-ships the full image to
-  // every device every epoch — no-change epochs included, it has no way to
-  // know — over the same two unicast hops (core->edge, edge->device) the
-  // real transport uses, chunked and framed identically.
-  std::vector<std::uint8_t> full_bytes = ota::diff({}, image).encode();
-  const std::uint64_t full_chunks =
-      (full_bytes.size() + config_.ota.chunk_bytes - 1) / config_.ota.chunk_bytes;
-  const std::uint64_t full_per_hop =
-      full_bytes.size() +
-      full_chunks * (ota::kChunkFramingBytes + net::kMessageHeaderBytes);
-  entry.full_broadcast_bytes =
-      full_per_hop * 2 * static_cast<std::uint64_t>(config_.devices);
-  ota.full_broadcast_bytes += entry.full_broadcast_bytes;
-
-  if (target == ota_chain_.head_checksum()) {
-    // The retrain reproduced the promoted head byte-for-byte: nothing to
-    // ship. (Devices behind the head stay behind until the next real
-    // version; the histogram reveals them.)
-    entry.outcome = "no-change";
-    return;
-  }
-
-  OtaRollout ro;
-  ro.epoch = epoch;
-  ro.version_id = ota_next_version_++;
-  ro.base_checksum = ota_chain_.head_checksum();
-  ro.target_checksum = target;
-  ro.provisioning = ota_chain_.empty();
-  ro.full = ota::ChunkedPatch(std::move(full_bytes), config_.ota.chunk_bytes,
-                              ro.version_id);
-  if (!ro.provisioning) {
-    // Ship whichever payload is cheaper on the wire. A retrain that merely
-    // extends the data diffs to a fraction of the image, but one that
-    // restructures the tree can produce a delta as large as the image
-    // itself — then the full patch wins and the ledger records the
-    // oversized delta that was not shipped (patch_bytes vs image_bytes).
-    const ota::Patch delta = ota::diff(ota_head_image_, image);
-    entry.patch_bytes = delta.size_bytes();
-    std::vector<std::uint8_t> delta_bytes = delta.encode();
-    if (delta_bytes.size() < ro.full.patch_bytes().size()) {
-      ro.delta = ota::ChunkedPatch(std::move(delta_bytes),
-                                   config_.ota.chunk_bytes, ro.version_id);
-      ro.has_delta = true;
-    }
-  }
-  ro.image = std::move(image);
-  ro.entry = ota.epochs_log.size() - 1;
-  entry.version_id = ro.version_id;
-
-  ro.trace = next_trace_++;
-  if (obsy_) {
-    obs::HopRecord origin;
-    origin.trace = ro.trace;
-    origin.kind = obs::HopKind::kOrigin;
-    origin.stream = obs::HopStream::kPatch;
-    origin.src = topo_.core();
-    origin.dst = topo_.core();
-    origin.t0_s = event.time_s;
-    origin.t1_s = event.time_s;
-    origin.bytes = ro.full.patch_bytes().size();
-    obsy_->journeys().record(std::move(origin));
-    obsy_->flight().note(topo_.core(), event.time_s, "ota-build", ro.version_id,
-                         ro.image.size());
-  }
-
-  const std::size_t r = ota_rollouts_.size();
-  ota_rollouts_.push_back(std::move(ro));
-  OtaRollout& rollout = ota_rollouts_[r];
-
-  if (rollout.provisioning) {
-    // First version: there is no running model to canary against, so it
-    // promotes by construction and the whole fleet gets the full image.
-    entry.outcome = "provision";
-    rollout.verdict_issued = true;
-    rollout.promoted = true;
-    ota_chain_.append(rollout.version_id, rollout.target_checksum,
-                      deploy::narrow_u32(rollout.image.size(), "ota image bytes"),
-                      deploy::narrow_u32(rollout.full.patch_bytes().size(),
-                                         "ota patch bytes"));
-    ota_head_image_ = rollout.image;
-    for (std::size_t d = 0; d < config_.devices; ++d) {
-      start_ota_transfer(d, r, event.time_s);
-    }
-    return;
-  }
-
-  rollout.cohort = ota::pick_canaries(config_.devices, config_.ota, canary_rng_);
-  entry.canary_devices = rollout.cohort.size();
-  for (std::uint32_t d : rollout.cohort) {
-    start_ota_transfer(d, r, event.time_s);
-  }
-  sched_.push(event.time_s + config_.ota.verdict_delay_s, EventKind::kOtaVerdict,
-              topo_.core(), r);
-}
-
-void FleetSim::start_ota_transfer(std::size_t device_index,
-                                  std::size_t rollout_index, double now_s) {
-  const OtaRollout& ro = ota_rollouts_[rollout_index];
-  OtaSummary& ota = report_.deploy.ota;
-  if (ota_stores_[device_index].current_checksum() == ro.target_checksum) return;
-
-  OtaTransfer t;
-  t.rollout = rollout_index;
-  t.device = static_cast<std::uint32_t>(device_index);
-  t.canary = !ro.verdict_issued;
-  // The delta only moves a device sitting exactly on the rollout's base; a
-  // behind or unprovisioned device needs the full image from the start.
-  const std::uint32_t have = ota_stores_[device_index].current_checksum();
-  t.full = !ro.has_delta || have != ro.base_checksum;
-  if (ro.has_delta && t.full) {
-    ++ota.full_fallbacks;
-    ++ota.epochs_log[ro.entry].full_fallbacks;
-  }
-
-  const std::size_t idx = ota_transfers_.size();
-  ota_transfers_.push_back(std::move(t));
-  ota_active_transfer_[device_index] = idx;
-  const ota::ChunkedPatch& chunked =
-      ota_transfers_[idx].full ? ro.full : ro.delta;
-  std::vector<std::size_t> all(chunked.num_chunks());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  send_ota_chunks(idx, all, now_s);
-  sched_.push(now_s + config_.ota.resume_timeout_s, EventKind::kOtaResume,
-              topo_.device(device_index), idx);
-}
-
-void FleetSim::send_ota_chunks(std::size_t transfer_index,
-                               const std::vector<std::size_t>& chunks,
-                               double now_s) {
-  const OtaTransfer& t = ota_transfers_[transfer_index];
-  const net::NodeId edge = topo_.edge(t.device % config_.edges);
-  for (std::size_t c : chunks) {
-    const std::size_t record = ota_chunk_msgs_.size();
-    ota_chunk_msgs_.push_back(
-        {transfer_index, static_cast<std::uint32_t>(c), t.full});
-    send_ota_chunk_hop(edge, record, now_s);
-  }
-}
-
-void FleetSim::send_ota_chunk_hop(net::NodeId to, std::size_t record,
-                                  double now_s) {
-  const OtaChunkMsg& msg = ota_chunk_msgs_[record];
-  const OtaRollout& ro = ota_rollouts_[ota_transfers_[msg.transfer].rollout];
-  const ota::ChunkedPatch& chunked = msg.full ? ro.full : ro.delta;
-  const std::size_t bytes =
-      net::kMessageHeaderBytes + chunked.frame(msg.chunk).wire_bytes();
-
-  OtaSummary& ota = report_.deploy.ota;
-  ++ota.chunks_sent;
-  // The radio spends the bytes whether or not the wire delivers; both the
-  // run total and the per-epoch ledger count every hop transmission.
-  ota.delta_downlink_bytes += bytes;
-  ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
-  obs::registry().counter("ota.chunk_sends").add();
-  obs::registry().counter("ota.downlink_bytes").add(bytes);
-
-  obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = topo_.next_hop(to),
-                       .dst = to, .bytes = bytes, .parents = {ro.trace}};
-  if (transmit(frame, EventKind::kOtaChunkArrival, record, now_s).corrupted) {
-    // The chunk fails its FNV check at the receiver and is discarded; the
-    // resume round re-requests it.
-    ++ota.chunks_corrupt_rejected;
-    obs::registry().counter("ota.chunk_corrupt_rejected").add();
-  }
-}
-
-void FleetSim::handle_ota_chunk_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  const OtaChunkMsg& msg = ota_chunk_msgs_[event.message];
-  OtaTransfer& t = ota_transfers_[msg.transfer];
-  const OtaRollout& ro = ota_rollouts_[t.rollout];
-  OtaSummary& ota = report_.deploy.ota;
-
-  if (!topo_.node(node).up) {
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "dead_receiver");
-    return;
-  }
-  if (t.done || ota_active_transfer_[t.device] != msg.transfer ||
-      msg.full != t.full) {
-    // Superseded transfer, or a leftover delta chunk after the fall back to
-    // the full image — either way the frame no longer indexes anything the
-    // device wants.
-    ++ota.chunks_stale;
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "stale");
-    return;
-  }
-  if (node >= config_.devices) {
-    // Edge relay: one more downlink hop to the target device.
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
-    send_ota_chunk_hop(topo_.device(t.device), event.message, event.time_s);
-    return;
-  }
-
-  const ota::ChunkedPatch& chunked = msg.full ? ro.full : ro.delta;
-  switch (t.applier.accept(chunked.frame(msg.chunk))) {
-    case ota::PatchApplier::Accept::kAccepted:
-      ++ota.chunks_delivered;
-      journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
-      if (t.applier.complete()) ota_commit_device(msg.transfer, event.time_s);
-      break;
-    case ota::PatchApplier::Accept::kDuplicate:
-      ++ota.chunk_duplicates;
-      journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "duplicate");
-      break;
-    case ota::PatchApplier::Accept::kChecksumMismatch:
-    case ota::PatchApplier::Accept::kShapeMismatch:
-      ++ota.chunks_corrupt_rejected;
-      journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "rejected");
-      break;
-  }
-}
-
-void FleetSim::ota_commit_device(std::size_t transfer_index, double now_s) {
-  OtaTransfer& t = ota_transfers_[transfer_index];
-  const OtaRollout& ro = ota_rollouts_[t.rollout];
-  OtaSummary& ota = report_.deploy.ota;
-  ota::DeviceImageStore& store = ota_stores_[t.device];
-  t.done = true;
-
-  const ota::Patch patch = ota::Patch::decode(t.applier.assemble());
-  std::vector<std::uint8_t> image =
-      patch.full_image() ? patch.apply({}) : patch.apply(store.current_image());
-
-  // The canary A/B probe runs before the commit: the same recent rows,
-  // scored by the running model and by the candidate, so the pooled verdict
-  // compares the two on identical data. A device with no baseline (first
-  // provision) has nothing to compare against.
-  if (t.canary && !ro.verdict_issued && store.provisioned()) {
-    const ota::CanaryProbe probe =
-        ota_probe(t.device, store.current_image(), image, now_s);
-    if (probe.rows > 0) {
-      const std::size_t record = ota_report_msgs_.size();
-      ota_report_msgs_.push_back({t.rollout, probe});
-      send_ota_report_hop(topo_.device(t.device), record, now_s);
-    }
-  }
-
-  // Commit is the only place the running image changes, and it requires the
-  // full checksum to verify — a crash anywhere before this line leaves the
-  // device on its previous consistent version.
-  store.commit(ro.version_id, std::move(image), patch.target_checksum);
-  ++ota.epochs_log[ro.entry].devices_updated;
-  ota.last_commit_t_s = std::max(ota.last_commit_t_s, now_s);
-  obs::registry().counter("ota.commits").add();
-  if (obsy_) {
-    obsy_->flight().note(topo_.device(t.device), now_s, "ota-commit",
-                         ro.version_id, t.full ? 1 : 0);
-  }
-}
-
-ota::CanaryProbe FleetSim::ota_probe(std::size_t device_index,
-                                     const std::vector<std::uint8_t>& old_image,
-                                     const std::vector<std::uint8_t>& new_image,
-                                     double now_s) const {
-  ota::CanaryProbe probe;
-  probe.device = static_cast<std::uint32_t>(device_index);
-  const data::Dataset& all = device_data_[device_index];
-  std::size_t upto = 0;
-  while (upto < all.rows() && all.column(0).numeric(upto) < now_s) ++upto;
-  const std::size_t count = std::min(config_.ota.probe_rows, upto);
-  if (count == 0) return probe;
-
-  deploy::DeviceRuntime old_rt(deploy::CompiledModel::decode(old_image));
-  deploy::DeviceRuntime new_rt(deploy::CompiledModel::decode(new_image));
-  old_rt.bind(all);
-  new_rt.bind(all);
-  probe.rows = count;
-  for (std::size_t r = upto - count; r < upto; ++r) {
-    const int label = truth_label(all.column(0).numeric(r));
-    if (old_rt.predict_row(all, r) == label) ++probe.correct_old;
-    if (new_rt.predict_row(all, r) == label) ++probe.correct_new;
-  }
-  return probe;
-}
-
-void FleetSim::send_ota_report_hop(net::NodeId from, std::size_t record,
-                                   double now_s) {
-  // Version id + device + rows + two correct counts, each u32, framed.
-  const std::size_t bytes = net::kMessageHeaderBytes + 20;
-  report_.deploy.ota.probe_uplink_bytes += bytes;
-  obs::registry().counter("ota.probe_uplink_bytes").add(bytes);
-  // A lost probe is tolerated, not retried: the verdict pools whatever
-  // reports made it.
-  obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = from,
-                       .dst = topo_.next_hop(from), .bytes = bytes,
-                       .parents = {ota_rollouts_[ota_report_msgs_[record].rollout].trace}};
-  transmit(frame, EventKind::kOtaReportArrival, record, now_s);
-}
-
-void FleetSim::handle_ota_report_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  const OtaReportMsg& msg = ota_report_msgs_[event.message];
-  OtaRollout& ro = ota_rollouts_[msg.rollout];
-  if (event.duplicate || !topo_.node(node).up) {
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0,
-                   event.duplicate ? "duplicate" : "dead_receiver");
-    return;
-  }
-  if (node != topo_.core()) {
-    // Edge relay toward the core.
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
-    send_ota_report_hop(node, event.message, event.time_s);
-    return;
-  }
-  if (ro.verdict_issued) {  // late probe, verdict already out
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "stale");
-    return;
-  }
-  journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
-  ro.probes.push_back(msg.probe);
-}
-
-void FleetSim::handle_ota_resume(const Event& event) {
-  const std::size_t idx = event.message;
-  OtaTransfer& t = ota_transfers_[idx];
-  if (t.done || t.stuck || ota_active_transfer_[t.device] != idx) return;
-  const OtaRollout& ro = ota_rollouts_[t.rollout];
-  if (ro.verdict_issued && !ro.promoted) {
-    // The candidate was rolled back (or never promoted) while this canary
-    // transfer was still moving: stop spending radio on it.
-    t.done = true;
-    return;
-  }
-  OtaSummary& ota = report_.deploy.ota;
-  OtaEpochEntry& entry = ota.epochs_log[ro.entry];
-  const ota::ChunkedPatch& chunked = t.full ? ro.full : ro.delta;
-  std::vector<std::size_t> want;
-  if (t.applier.started()) {
-    want = t.applier.missing();
-  } else {
-    want.resize(chunked.num_chunks());
-    std::iota(want.begin(), want.end(), std::size_t{0});
-  }
-  if (want.empty()) return;  // complete; the commit path already ran
-
-  if (t.resume_rounds < config_.ota.max_resume_rounds) {
-    ++t.resume_rounds;
-    ++ota.resume_rounds;
-    obs::registry().counter("ota.resume_rounds").add();
-    send_ota_chunks(idx, want, event.time_s);
-  } else if (!t.full) {
-    // Delta rounds exhausted: fall back to the full image. The applier
-    // resets (staged delta chunks are discarded); the running image is
-    // untouched by construction.
-    t.full = true;
-    t.full_rounds = 1;
-    t.resume_rounds = 0;
-    t.applier.reset();
-    ++ota.full_fallbacks;
-    ++entry.full_fallbacks;
-    obs::registry().counter("ota.full_fallbacks").add();
-    std::vector<std::size_t> all(ro.full.num_chunks());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    send_ota_chunks(idx, all, event.time_s);
-  } else if (t.full_rounds < config_.ota.max_full_rounds) {
-    ++t.full_rounds;
-    t.resume_rounds = 0;
-    t.applier.reset();
-    std::vector<std::size_t> all(ro.full.num_chunks());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    send_ota_chunks(idx, all, event.time_s);
-  } else {
-    // Every round exhausted: the device stays on its current verified
-    // version for this epoch and is ledgered as stuck.
-    t.stuck = true;
-    t.done = true;
-    ++entry.devices_stuck;
-    obs::registry().counter("ota.devices_stuck").add();
-    if (obsy_) {
-      obsy_->flight().note(topo_.device(t.device), event.time_s, "ota-stuck",
-                           ro.version_id);
-    }
-    return;
-  }
-  sched_.push(event.time_s + config_.ota.resume_timeout_s, EventKind::kOtaResume,
-              topo_.device(t.device), idx);
-}
-
-void FleetSim::handle_ota_verdict(const Event& event) {
-  const std::size_t r = event.message;
-  OtaRollout& ro = ota_rollouts_[r];
-  if (ro.verdict_issued) return;  // superseded by a later epoch
-  ro.verdict_issued = true;
-  OtaSummary& ota = report_.deploy.ota;
-  OtaEpochEntry& entry = ota.epochs_log[ro.entry];
-
-  auto cancel_cohort = [&]() {
-    for (std::uint32_t d : ro.cohort) {
-      const std::size_t active = ota_active_transfer_[d];
-      if (active != kNoMessage && ota_transfers_[active].rollout == r) {
-        ota_transfers_[active].done = true;
-      }
-    }
-  };
-
-  if (!topo_.node(topo_.core()).up) {
-    // Nobody home to pool the probes: conservative skip, the candidate is
-    // abandoned and canaries that committed it roll back locally next time
-    // the core ships a version (they are off-head in the histogram).
-    entry.outcome = "verdict-skipped";
-    cancel_cohort();
-    return;
-  }
-
-  const ota::CanaryVerdict verdict =
-      ota::judge(ro.version_id, ro.epoch, ro.probes, config_.ota);
-  entry.devices_reporting = verdict.devices_reporting;
-  entry.pooled_rows = verdict.pooled_rows;
-  entry.accuracy_old = verdict.accuracy_old;
-  entry.accuracy_new = verdict.accuracy_new;
-
-  if (verdict.promoted) {
-    entry.outcome = "promote";
-    ++ota.promotions;
-    ro.promoted = true;
-    ota_chain_.append(ro.version_id, ro.target_checksum,
-                      deploy::narrow_u32(ro.image.size(), "ota image bytes"),
-                      deploy::narrow_u32(ro.has_delta
-                                             ? ro.delta.patch_bytes().size()
-                                             : ro.full.patch_bytes().size(),
-                                         "ota patch bytes"));
-    ota_head_image_ = ro.image;
-    obs::registry().counter("ota.promotions").add();
-    if (obsy_) {
-      obsy_->flight().note(topo_.core(), event.time_s, "ota-promote",
-                           ro.version_id, verdict.pooled_rows);
-    }
-    // Ship to the rest of the fleet; canaries mid-transfer keep going.
-    for (std::size_t d = 0; d < config_.devices; ++d) {
-      const std::size_t active = ota_active_transfer_[d];
-      if (active != kNoMessage && !ota_transfers_[active].done &&
-          ota_transfers_[active].rollout == r) {
-        continue;
-      }
-      start_ota_transfer(d, r, event.time_s);
-    }
-    return;
-  }
-
-  entry.outcome = "rollback";
-  ++ota.rollbacks;
-  obs::registry().counter("ota.rollbacks").add();
-  if (obsy_) {
-    obsy_->flight().note(topo_.core(), event.time_s, "ota-rollback",
-                         ro.version_id, verdict.pooled_rows);
-  }
-  cancel_cohort();
-  // Canaries that already committed the bad version get a rollback command;
-  // the revert itself is local and free (the previous image is retained).
-  for (std::uint32_t d : ro.cohort) {
-    if (ota_stores_[d].current_checksum() == ro.target_checksum) {
-      const std::size_t record = ota_control_msgs_.size();
-      ota_control_msgs_.push_back({r, d});
-      send_ota_control_hop(topo_.edge(d % config_.edges), record, event.time_s);
-    }
-  }
-}
-
-void FleetSim::send_ota_control_hop(net::NodeId to, std::size_t record,
-                                    double now_s) {
-  const OtaRollout& ro = ota_rollouts_[ota_control_msgs_[record].rollout];
-  // Version id + command, framed — rollback ships no image bytes at all.
-  const std::size_t bytes = net::kMessageHeaderBytes + 8;
-  OtaSummary& ota = report_.deploy.ota;
-  ota.delta_downlink_bytes += bytes;
-  ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
-  // A lost rollback command is visible, not fatal: the device stays on the
-  // rolled-back version and the end-of-run histogram exposes it.
-  obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = topo_.next_hop(to),
-                       .dst = to, .bytes = bytes, .parents = {ro.trace}};
-  transmit(frame, EventKind::kOtaControlArrival, record, now_s);
-}
-
-void FleetSim::handle_ota_control_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  const OtaControlMsg& msg = ota_control_msgs_[event.message];
-  const OtaRollout& ro = ota_rollouts_[msg.rollout];
-  if (!topo_.node(node).up) {
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "dead_receiver");
-    return;
-  }
-  if (node >= config_.devices) {
-    // Edge relay, straggler copies included: the device's revert is idempotent.
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
-    send_ota_control_hop(topo_.device(msg.device), event.message, event.time_s);
-    return;
-  }
-  // Idempotent by construction: only a device still running the rolled-back
-  // version reverts, so duplicate or late commands are no-ops.
-  ota::DeviceImageStore& store = ota_stores_[msg.device];
-  if (store.current_id() != ro.version_id || !store.has_previous()) {
-    journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0,
-                   event.duplicate ? "duplicate" : "stale");
-    return;
-  }
-  journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
-  store.rollback();
-  ++report_.deploy.ota.epochs_log[ro.entry].devices_rolled_back;
-  obs::registry().counter("ota.device_rollbacks").add();
-  if (obsy_) {
-    obsy_->flight().note(node, event.time_s, "ota-revert", ro.version_id,
-                         store.current_id());
-  }
-}
-
-void FleetSim::finalize_ota() {
-  OtaSummary& ota = report_.deploy.ota;
-  ota.enabled = true;
-  ota.epochs = config_.ota.epochs;
-  ota.versions_published = ota_chain_.size();
-  const std::uint32_t head = ota_chain_.head_id();
-  for (std::size_t d = 0; d < config_.devices; ++d) {
-    const ota::DeviceImageStore& store = ota_stores_[d];
-    ++ota.version_histogram[store.current_id()];
-    const std::size_t active = ota_active_transfer_[d];
-    if (active != kNoMessage && ota_transfers_[active].stuck) {
-      ++ota.devices_stuck;
-    }
-    if (!store.provisioned()) {
-      ++ota.devices_unprovisioned;
-      continue;
-    }
-    // The no-torn-patches invariant: every provisioned device's running
-    // image re-hashes to the checksum its committed version was built with.
-    bool verified = false;
-    for (const OtaRollout& ro : ota_rollouts_) {
-      if (ro.version_id == store.current_id()) {
-        verified = ota::image_checksum(store.current_image()) == ro.target_checksum;
-        break;
-      }
-    }
-    if (!verified) ota.all_devices_verified = false;
-    if (store.current_id() == head) {
-      ++ota.devices_on_head;
-    } else {
-      ++ota.devices_behind;
-    }
-  }
-  IOTML_INTERNAL_CHECK(ota.all_devices_verified,
-                       "FleetSim: a device ended the run on an unverified image");
 }
 
 }  // namespace iotml::sim

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,8 +21,6 @@
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "ota/rollout.hpp"
-#include "ota/transfer.hpp"
-#include "ota/version.hpp"
 #include "pipeline/sensors.hpp"
 #include "sim/chaos.hpp"
 #include "sim/placement.hpp"
@@ -231,6 +230,40 @@ pipeline::Pipeline default_fleet_pipeline(const FleetConfig& config);
 /// instead (see deploy::compile).
 pipeline::Pipeline default_deploy_pipeline(const FleetConfig& config);
 
+class FleetSim;
+
+/// What a subsystem module (DESIGN.md §14) may reach of the fleet that hosts
+/// it: the traced send path, the arrival journal, the scheduler, the
+/// topology (read-only), the observatory, the trace-id counter and two data
+/// reads. Everything else stays FleetSim's. Only FleetSim can make one.
+class FleetSurface {
+ public:
+  Scheduler& sched;
+  const net::Topology& topo;
+  obs::Observatory& obsy;
+
+  /// FleetSim::transmit: send one traced frame over its hop's channel.
+  net::ChannelOutcome send_hop(obs::HopRecord& frame, EventKind arrival,
+                               std::size_t message, double now_s);
+  /// FleetSim::journey_arrive: journal what the receiver did with an arrival.
+  void journey_arrive(const Event& event, obs::HopStream stream, std::uint64_t trace,
+                      std::size_t rows, const char* outcome);
+  /// A fresh trace id from the fleet's one counter.
+  std::uint64_t next_trace() noexcept;
+  /// Everything the core has received so far, time-ordered, labeled with the
+  /// analytics concept, without the timestamp column. Empty before any row.
+  data::Dataset training_set() const;
+  /// The last `count` rows `device` sensed before `before_s`, labeled.
+  data::Dataset recent_rows(std::size_t device, double before_s, std::size_t count) const;
+
+ private:
+  friend class FleetSim;
+  explicit FleetSurface(FleetSim& fleet) noexcept;
+  FleetSim& fleet_;
+};
+
+class OtaLoop;
+
 /// Deterministic discrete-event simulator of the paper's Fig. 1: devices
 /// sample noisy desynchronized sensors and flush windows to their edge over
 /// lossy links; edges integrate, prepare and batch-forward to the core; the
@@ -246,6 +279,7 @@ class FleetSim {
 
   /// Host a custom pipeline instead; its stages are placed by tier.
   FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline);
+  ~FleetSim();
 
   /// Run the simulation to completion. One-shot: throws InvalidArgument on
   /// a second call (build a fresh FleetSim to re-run).
@@ -260,10 +294,12 @@ class FleetSim {
   /// The run's observatory, or nullptr when config.observatory.enabled is
   /// false. Valid for the simulator's lifetime.
   const obs::Observatory* observatory() const noexcept {
-    return obsy_ ? &*obsy_ : nullptr;
+    return obsy_.enabled() ? &obsy_ : nullptr;
   }
 
  private:
+  friend class FleetSurface;
+
   struct Buffer {
     data::Dataset rows;
     std::vector<double> origin_s;
@@ -302,6 +338,9 @@ class FleetSim {
                         std::size_t message);
   void finalize();
   int truth_label(double time_s) const;
+  /// The core's rows so far, time-ordered and labeled with the analytics
+  /// concept. Requires at least one row.
+  data::Dataset labeled_core_rows() const;
 
   // Fault-tolerance machinery (see DESIGN.md §11).
   void handle_checkpoint(std::size_t edge_index);
@@ -338,33 +377,6 @@ class FleetSim {
   void send_predictions(net::NodeId from, std::size_t batch, double now_s);
   void score_on_device(net::NodeId device, double now_s, bool stale);
 
-  // OTA delta-update loop (config_.ota.enabled; see DESIGN.md §14). The
-  // core retrains per epoch as rows arrive, diffs the new artifact against
-  // the promoted head, ships chunked patches to a seeded canary cohort,
-  // promotes on the pooled A/B probe and rolls back on regression.
-  void schedule_ota_epochs();
-  void handle_ota_epoch(const Event& event);
-  void handle_ota_chunk_arrival(const Event& event);
-  void handle_ota_resume(const Event& event);
-  void handle_ota_report_arrival(const Event& event);
-  void handle_ota_verdict(const Event& event);
-  void handle_ota_control_arrival(const Event& event);
-  void start_ota_transfer(std::size_t device_index, std::size_t rollout_index,
-                          double now_s);
-  void send_ota_chunk_hop(net::NodeId to, std::size_t record, double now_s);
-  void send_ota_chunks(std::size_t transfer_index,
-                       const std::vector<std::size_t>& chunks, double now_s);
-  void send_ota_report_hop(net::NodeId from, std::size_t record, double now_s);
-  void send_ota_control_hop(net::NodeId to, std::size_t record, double now_s);
-  void ota_commit_device(std::size_t transfer_index, double now_s);
-  /// The canary A/B probe: the device's most recent sensed rows (before
-  /// now_s) scored by both the running and the candidate artifact.
-  ota::CanaryProbe ota_probe(std::size_t device_index,
-                             const std::vector<std::uint8_t>& old_image,
-                             const std::vector<std::uint8_t>& new_image,
-                             double now_s) const;
-  void finalize_ota();
-
   // Graceful-degradation ladder (config_.degrade.enabled; DESIGN.md §16).
   bool degrade_on() const noexcept { return config_.degrade.enabled; }
   /// Measure this edge's backpressure signals on the virtual clock.
@@ -393,7 +405,7 @@ class FleetSim {
   void degrade_settle(double now_s);
   void finalize_degradation();
 
-  // Observatory wiring (all no-ops when obsy_ is empty; see DESIGN.md §13).
+  // Observatory wiring (see DESIGN.md §13).
   /// Journal what the receiver did with `event`'s arrival. Node and time come
   /// from the event; every hop starts or ends at an edge, so an arrival at an
   /// edge is hop 0 and one anywhere else hop 1.
@@ -440,7 +452,7 @@ class FleetSim {
   /// broadcasts. Plain counter, never an RNG draw: ids are deterministic
   /// and cost nothing when the observatory is off.
   std::uint64_t next_trace_ = 1;
-  std::optional<obs::Observatory> obsy_;
+  obs::Observatory obsy_;  ///< disabled (a null object) unless config_.observatory.enabled
 
   std::vector<Buffer> edge_checkpoints_;  ///< last persisted buffer per edge
   std::vector<std::deque<Buffer>> device_sf_;  ///< store-and-forward chunks
@@ -482,75 +494,8 @@ class FleetSim {
   bool stale_ready_ = false;
   std::vector<std::uint8_t> device_scored_;  ///< device index -> fresh artifact scored
 
-  // ---- OTA delta-update state (empty unless config_.ota.enabled) --------
-
-  /// One epoch's candidate rollout: the target image, its delta patch
-  /// against the promoted head, the full-image patch (the resume fallback
-  /// and the provisioning payload) and the canary bookkeeping.
-  struct OtaRollout {
-    int epoch = 0;
-    std::uint32_t version_id = 0;
-    std::uint32_t base_checksum = ota::kEmptyImageChecksum;  ///< delta base
-    std::uint32_t target_checksum = ota::kEmptyImageChecksum;
-    std::vector<std::uint8_t> image;  ///< encoded target artifact
-    ota::ChunkedPatch delta;          ///< empty when provisioning
-    ota::ChunkedPatch full;
-    bool has_delta = false;
-    bool provisioning = false;
-    std::vector<std::uint32_t> cohort;  ///< canary device indices, ascending
-    std::vector<ota::CanaryProbe> probes;
-    bool verdict_issued = false;
-    bool promoted = false;
-    std::size_t entry = 0;     ///< index into the epochs_log ledger
-    std::uint64_t trace = 0;   ///< journey root (stream kPatch)
-  };
-
-  /// One device's in-progress patch transfer. The applier stages verified
-  /// chunks; the device image only changes at commit (never torn).
-  struct OtaTransfer {
-    std::size_t rollout = 0;
-    std::uint32_t device = 0;  ///< device index
-    bool full = false;         ///< shipping the full image, not the delta
-    bool canary = false;
-    int resume_rounds = 0;
-    int full_rounds = 0;  ///< completed full-image rounds
-    bool done = false;
-    bool stuck = false;
-    ota::PatchApplier applier;
-  };
-
-  struct OtaChunkMsg {
-    std::size_t transfer = 0;
-    std::uint32_t chunk = 0;
-    /// Which patch the chunk belongs to, snapshot at send time — the
-    /// transfer may fall back to the full image while frames are in flight,
-    /// and a stale delta chunk must not index into the full patch.
-    bool full = false;
-  };
-  struct OtaReportMsg {
-    std::size_t rollout = 0;
-    ota::CanaryProbe probe;
-  };
-  struct OtaControlMsg {
-    std::size_t rollout = 0;
-    std::uint32_t device = 0;  ///< device index to roll back
-  };
-
-  std::vector<OtaRollout> ota_rollouts_;
-  std::vector<OtaTransfer> ota_transfers_;
-  std::vector<std::size_t> ota_active_transfer_;  ///< device index -> transfer
-  std::vector<OtaChunkMsg> ota_chunk_msgs_;
-  std::vector<OtaReportMsg> ota_report_msgs_;
-  std::vector<OtaControlMsg> ota_control_msgs_;
-
-  std::vector<ota::DeviceImageStore> ota_stores_;  ///< per device
-  ota::VersionChain ota_chain_;                    ///< promoted versions only
-  std::vector<std::uint8_t> ota_head_image_;       ///< promoted head's bytes
-  std::uint32_t ota_next_version_ = 1;
-  // det-sanctioned: placeholder; reseeded via master.split() (rng-stream: canary)
-  Rng canary_rng_{0};  ///< canary cohort sampling; split after chaos
-  // det-sanctioned: placeholder; reseeded via master.split() (rng-stream: epoch)
-  Rng epoch_rng_{0};   ///< epoch retrain jitter; split after canary
+  /// The OTA delta-update loop (DESIGN.md §14); null unless config_.ota.enabled.
+  std::unique_ptr<OtaLoop> ota_;
 
   // ---- Degradation ladder state (empty unless config_.degrade.enabled) --
 

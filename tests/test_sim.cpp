@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "ota/transfer.hpp"
 #include "sim/fleet.hpp"
 #include "sim/placement.hpp"
 #include "sim/scheduler.hpp"
