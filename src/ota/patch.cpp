@@ -1,5 +1,6 @@
 #include "ota/patch.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_map>
 
@@ -83,7 +84,10 @@ Patch Patch::decode(const std::vector<std::uint8_t>& bytes) {
   p.target_checksum = r.u32();
   p.target_size = r.u32();
   const std::uint32_t count = r.u32();
-  p.ops.reserve(count);
+  // Header-driven sizes are bounded by the bytes that remain before any
+  // allocation: a lying count or length must fail as truncation, never as
+  // an oversized reserve. The smallest op is kind + length (5 bytes).
+  p.ops.reserve(std::min<std::size_t>(count, r.remaining() / 5));
   std::uint64_t produced = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     PatchOp op;
@@ -96,7 +100,7 @@ Patch Patch::decode(const std::vector<std::uint8_t>& bytes) {
     if (op.kind == OpKind::kCopy) {
       op.base_offset = r.u32();
     } else {
-      op.data.reserve(op.length);
+      op.data.reserve(std::min<std::size_t>(op.length, r.remaining()));
       for (std::uint32_t b = 0; b < op.length; ++b) op.data.push_back(r.u8());
     }
     produced += op.length;

@@ -20,6 +20,7 @@
 #include "ota/version.hpp"
 #include "sim/fleet.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace iotml::ota {
@@ -95,6 +96,33 @@ TEST(OtaPatch, ApplyRefusesWrongBaseAndNeverTearsSilently) {
   wrong_base[0] ^= 1;
   EXPECT_THROW(p.apply(wrong_base), InvalidArgument);
   EXPECT_THROW(p.apply({}), InvalidArgument);
+}
+
+// `wire` with its little-endian u32 at `at` replaced by `value` and the FNV
+// trailer recomputed, so only the header field lies.
+std::vector<std::uint8_t> with_u32(std::vector<std::uint8_t> wire, std::size_t at,
+                                   std::uint32_t value) {
+  for (std::size_t i = 0; i < 4; ++i) wire[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  const std::uint32_t trailer = fnv1a32(wire.data(), wire.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    wire[wire.size() - 4 + i] = static_cast<std::uint8_t>(trailer >> (8 * i));
+  }
+  return wire;
+}
+
+TEST(OtaPatch, DecodeBoundsHeaderDrivenAllocationsByTheRemainingBytes) {
+  // The smallest patch: the 22-byte header of an empty target, no ops, and
+  // a valid trailer. Its op count sits at offset 18.
+  const std::vector<std::uint8_t> empty = diff({}, {}).encode();
+  ASSERT_EQ(empty.size(), 26u);
+  EXPECT_THROW(Patch::decode(with_u32(empty, 18, 0xFFFFFFFFU)), InvalidArgument);
+  EXPECT_THROW(Patch::decode(with_u32(empty, 18, 1U << 28)), InvalidArgument);
+
+  // One data op whose length claims 4 GiB but whose bytes end at once. The
+  // op's length sits after the header (22) and its kind byte (1).
+  const std::vector<std::uint8_t> one = diff({}, {7}).encode();
+  ASSERT_EQ(one.size(), 26u + 1 + 4 + 1);
+  EXPECT_THROW(Patch::decode(with_u32(one, 23, 0xFFFFFFFFU)), InvalidArgument);
 }
 
 // The wire format is pinned: these exact bytes must decode forever.

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json.hpp"
 #include "scope.hpp"
 #include "sim/fleet.hpp"
 
@@ -305,8 +306,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     auto next_size = [&](std::size_t& out) {
       if (i + 1 >= argc) return false;
-      out = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      return out > 0;
+      return obs::parse_int(argv[++i], out) && out > 0;
     };
     if (arg == "--self-check") {
       run_self_check = true;
