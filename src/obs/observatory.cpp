@@ -10,7 +10,6 @@ Observatory::Observatory() noexcept
 
 Observatory::Observatory(std::size_t entities, ObservatoryOptions options)
     : enabled_(true),
-      options_(options),
       series_(options.series_capacity),
       journeys_(options.journey_capacity),
       flight_(entities, options.flight_ring) {}

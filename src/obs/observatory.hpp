@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -55,9 +54,6 @@ class Observatory {
   void record(const HopRecord& r) {
     if (enabled_) journeys_.record(r);
   }
-  void record(HopRecord&& r) {
-    if (enabled_) journeys_.record(std::move(r));
-  }
   /// Journal the birth of `trace` at `node`: a flush window, a broadcast, a
   /// prediction batch or a patch.
   void origin(std::uint64_t trace, HopStream stream, std::size_t node, double t_s,
@@ -68,16 +64,11 @@ class Observatory {
                       .rows = rows, .bytes = bytes, .parents = {}});
   }
 
-  TimeSeriesStore& series() noexcept { return series_; }
   const TimeSeriesStore& series() const noexcept { return series_; }
 
-  JourneyLog& journeys() noexcept { return journeys_; }
   const JourneyLog& journeys() const noexcept { return journeys_; }
 
-  FlightRecorder& flight() noexcept { return flight_; }
   const FlightRecorder& flight() const noexcept { return flight_; }
-
-  const ObservatoryOptions& options() const noexcept { return options_; }
 
   /// Writes timeseries.json, journeys.jsonl, flightrec.json and events.log
   /// under `dir` (created if missing). Returns false if any file could not
@@ -87,7 +78,6 @@ class Observatory {
 
  private:
   bool enabled_ = false;
-  ObservatoryOptions options_;
   TimeSeriesStore series_;
   JourneyLog journeys_;
   FlightRecorder flight_;
