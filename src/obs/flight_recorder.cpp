@@ -87,9 +87,4 @@ void FlightRecorder::write_json(std::ostream& out) const {
   out << "\n  ]\n}\n";
 }
 
-void FlightRecorder::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (Ring& ring : rings_) ring = Ring{};
-}
-
 }  // namespace iotml::obs

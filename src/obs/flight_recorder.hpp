@@ -31,8 +31,6 @@ class FlightRecorder {
   void note(std::size_t entity, double t_s, const char* kind, std::uint64_t a = 0,
             std::uint64_t b = 0);
 
-  std::size_t entities() const noexcept { return rings_.size(); }
-  std::size_t ring_capacity() const noexcept { return capacity_; }
   std::uint64_t noted() const;  ///< events ever recorded across all rings
 
   /// Entity's retained events, oldest -> newest.
@@ -44,8 +42,6 @@ class FlightRecorder {
   /// {"ring_capacity": N, "entities": [{"entity": i, "total": n, "events": [...]}]}
   /// — entities with no events are omitted.
   void write_json(std::ostream& out) const;
-
-  void clear();
 
  private:
   struct Ring {

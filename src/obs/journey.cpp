@@ -80,10 +80,4 @@ void JourneyLog::write_jsonl(std::ostream& out) const {
   }
 }
 
-void JourneyLog::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  dropped_ = 0;
-}
-
 }  // namespace iotml::obs

@@ -64,8 +64,6 @@ class JourneyLog {
 
   void write_jsonl(std::ostream& out) const;
 
-  void clear();
-
  private:
   mutable std::mutex mu_;
   std::size_t capacity_;

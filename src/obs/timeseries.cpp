@@ -148,9 +148,4 @@ std::string TimeSeriesStore::to_json() const {
   return out.str();
 }
 
-void TimeSeriesStore::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  series_.clear();
-}
-
 }  // namespace iotml::obs

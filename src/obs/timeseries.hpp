@@ -77,7 +77,6 @@ class Sampler {
 
   void record(double t_s, double value);
 
-  std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t total() const;            ///< samples ever recorded
   std::vector<Sample> samples() const;    ///< oldest -> newest, size <= capacity
 
@@ -123,8 +122,6 @@ class TimeSeriesStore {
   /// sorted by (metric, entity, tier); samples oldest -> newest.
   void write_json(std::ostream& out) const;
   std::string to_json() const;
-
-  void clear();
 
  private:
   mutable std::mutex mu_;

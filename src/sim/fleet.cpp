@@ -627,13 +627,8 @@ void FleetSim::handle_device_flush(const Event& event) {
   Buffer merged;
   if (sf) {
     while (!device_sf_[d].empty()) {
-      Buffer& pending = device_sf_[d].front();
-      merged.rows.append_rows(pending.rows);
-      merged.origin_s.insert(merged.origin_s.end(), pending.origin_s.begin(),
-                             pending.origin_s.end());
-      merged.parents.insert(merged.parents.end(), pending.parents.begin(),
-                            pending.parents.end());
-      merged.row_count += pending.row_count;
+      const Buffer& pending = device_sf_[d].front();
+      merged.append(pending.rows, pending.origin_s, pending.parents);
       device_sf_[d].pop_front();
     }
     if (merged.row_count > 0) obsy_.note(d, event.time_s, "sf-drain", merged.row_count);
@@ -641,13 +636,7 @@ void FleetSim::handle_device_flush(const Event& event) {
     // merged frame, re-encoded by send().
     if (telemetry_on()) device_logs_[d].clear();
   }
-  if (out.row_count > 0) {
-    merged.rows.append_rows(out.rows);
-    merged.origin_s.insert(merged.origin_s.end(), out.origin_s.begin(),
-                           out.origin_s.end());
-    merged.parents.insert(merged.parents.end(), out.parents.begin(), out.parents.end());
-    merged.row_count += out.row_count;
-  }
+  if (out.row_count > 0) merged.append(out.rows, out.origin_s, out.parents);
   if (merged.row_count == 0) return;
   send(d, std::move(merged), event.time_s);
 }
@@ -1197,14 +1186,10 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
       }
     } else {
       Buffer& buf = edge_buffers_[from - config_.devices];
-      buf.rows.append_rows(msg.payload);
-      buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
-      buf.parents.insert(buf.parents.end(), frame.parents.begin(), frame.parents.end());
       if (degrade_on()) {
-        buf.strata.push_back(
-            {static_cast<std::uint32_t>(from), buf.row_count, rows});
+        buf.strata.push_back({static_cast<std::uint32_t>(from), buf.row_count, rows});
       }
-      buf.row_count += rows;
+      buf.append(msg.payload, msg.origin_s, frame.parents);
     }
   };
 
@@ -1404,6 +1389,10 @@ void FleetSim::handle_arrival(const Event& event) {
     obsy_.sample("uplink.rows", entity, "edge", event.time_s,
                  static_cast<double>(msg.payload.rows()));
     Buffer& buf = edge_buffers_[node - config_.devices];
+    if (degrade_on()) {
+      buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.row_count,
+                            msg.payload.rows()});
+    }
     if (!msg.tdf_frame.empty()) {
       // The decode is load-bearing: the edge reconstructs the rows from the
       // wire bytes and feeds *those* into its sub-pipeline. The
@@ -1415,20 +1404,10 @@ void FleetSim::handle_arrival(const Event& event) {
           "FleetSim: TDF decode does not reproduce the device's rows");
       ++report_.telemetry.frames_delivered;
       report_.telemetry.rows_decoded += f.rows.rows();
-      buf.rows.append_rows(f.rows);
-      buf.origin_s.insert(buf.origin_s.end(), f.origin_s.begin(),
-                          f.origin_s.end());
+      buf.append(f.rows, f.origin_s, msg_parents_[msg.id]);
     } else {
-      buf.rows.append_rows(msg.payload);
-      buf.origin_s.insert(buf.origin_s.end(), msg.origin_s.begin(), msg.origin_s.end());
+      buf.append(msg.payload, msg.origin_s, msg_parents_[msg.id]);
     }
-    buf.parents.insert(buf.parents.end(), msg_parents_[msg.id].begin(),
-                       msg_parents_[msg.id].end());
-    if (degrade_on()) {
-      buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.row_count,
-                            msg.payload.rows()});
-    }
-    buf.row_count += msg.payload.rows();
   }
 }
 

@@ -312,6 +312,15 @@ class FleetSim {
     /// enabled) — the strata L1 sampling draws from, so every device keeps
     /// representation in the sampled window.
     std::vector<approx::Stratum> strata;
+
+    /// Fold `more`, with its origin times and parent ids, onto the end.
+    void append(const data::Dataset& more, const std::vector<double>& more_origin_s,
+                const std::vector<std::uint64_t>& more_parents) {
+      rows.append_rows(more);
+      origin_s.insert(origin_s.end(), more_origin_s.begin(), more_origin_s.end());
+      parents.insert(parents.end(), more_parents.begin(), more_parents.end());
+      row_count += more.rows();
+    }
   };
 
   void generate_device_data();

@@ -48,26 +48,13 @@ OtaLoop::OtaLoop(const FleetConfig& config, FleetSurface fleet, Rng canary, Rng 
 
 void OtaLoop::handle(const Event& event) {
   switch (event.kind) {
-    case EventKind::kOtaEpoch:
-      handle_epoch(event);
-      break;
-    case EventKind::kOtaChunkArrival:
-      handle_chunk_arrival(event);
-      break;
-    case EventKind::kOtaResume:
-      handle_resume(event);
-      break;
-    case EventKind::kOtaReportArrival:
-      handle_report_arrival(event);
-      break;
-    case EventKind::kOtaVerdict:
-      handle_verdict(event);
-      break;
-    case EventKind::kOtaControlArrival:
-      handle_control_arrival(event);
-      break;
-    default:
-      IOTML_INTERNAL_CHECK(false, "OtaLoop: not an OTA event");
+    case EventKind::kOtaEpoch: return handle_epoch(event);
+    case EventKind::kOtaChunkArrival: return handle_chunk_arrival(event);
+    case EventKind::kOtaResume: return handle_resume(event);
+    case EventKind::kOtaReportArrival: return handle_report_arrival(event);
+    case EventKind::kOtaVerdict: return handle_verdict(event);
+    case EventKind::kOtaControlArrival: return handle_control_arrival(event);
+    default: IOTML_INTERNAL_CHECK(false, "OtaLoop: not an OTA event");
   }
 }
 
