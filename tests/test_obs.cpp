@@ -15,6 +15,7 @@
 #include "obs/journey.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "obs/observatory.hpp"
 #include "obs/timeseries.hpp"
 #include "pipeline/stage.hpp"
 #include "util/error.hpp"
@@ -537,6 +538,34 @@ TEST(ObsFlight, ConcurrentNotesAcrossEntities) {
   for (std::size_t e = 0; e < 4; ++e) {
     EXPECT_EQ(rec.dump(e).size(), 8u);  // every ring full, still bounded
   }
+}
+
+// ---- Observatory: enabled, or a null object ---------------------------------
+
+TEST(ObsObservatory, DisabledRecordsNothingAndEnabledRecordsEverything) {
+  const obs::HopRecord send{.trace = 7, .src = 0, .dst = 1, .rows = 3, .parents = {1, 2}};
+  obs::Observatory off;
+  obs::Observatory on(2, {.series_capacity = 4, .flight_ring = 4, .journey_capacity = 8});
+  for (obs::Observatory* o : {&off, &on}) {
+    o->note(1, 0.5, "flush", 3);
+    o->sample("flush.rows", "fleet", "device", 0.5, 3.0);
+    o->record(send);
+    o->origin(9, obs::HopStream::kPatch, 0, 0.5, 0, 64);
+  }
+  EXPECT_FALSE(off.enabled());
+  EXPECT_EQ(off.flight().noted(), 0u);
+  EXPECT_EQ(off.series().series_count(), 0u);
+  EXPECT_EQ(off.journeys().size(), 0u);
+
+  EXPECT_TRUE(on.enabled());
+  EXPECT_EQ(on.flight().noted(), 1u);
+  EXPECT_EQ(on.series().samples_total(), 1u);
+  const std::vector<obs::HopRecord> journeys = on.journeys().snapshot();
+  ASSERT_EQ(journeys.size(), 2u);
+  EXPECT_EQ(journeys[0].parents, send.parents);
+  EXPECT_EQ(journeys[1].kind, obs::HopKind::kOrigin);
+  EXPECT_EQ(journeys[1].stream, obs::HopStream::kPatch);
+  EXPECT_EQ(journeys[1].bytes, 64u);
 }
 
 // ---- Wiring: Pipeline::run measures and reports ---------------------------
