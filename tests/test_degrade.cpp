@@ -258,6 +258,50 @@ TEST(DegradeLadder, NoFlappingAcrossChaosBursts) {
   EXPECT_TRUE(any_pressure);
 }
 
+bool logs_event(const FleetSim& sim, const std::string& kind) {
+  for (const std::string& line : sim.event_log()) {
+    if (line.find(kind) != std::string::npos) return true;
+  }
+  return false;
+}
+
+// The deploy broadcast never meets a degraded edge. A free-running ladder
+// has settled every edge back to L0 before the broadcast leaves the core,
+// and a ladder pinned at L3 sheds every row, so no artifact is ever built.
+TEST(FleetDegrade, DeployBroadcastMeetsASettledLadder) {
+  FleetConfig cfg = golden_config();
+  cfg.duration_s = 60.0;
+  cfg.channel.queue_capacity = 2;
+  cfg.degrade.enabled = true;
+  cfg.degrade.dead_letter_rate_ref = 0.25;
+  cfg.degrade.thresholds.up = {0.2, 0.6, 1.2};
+  cfg.degrade.thresholds.down = {0.1, 0.4, 0.9};
+  cfg.degrade.thresholds.dwell_s = 3.0;
+  cfg.chaos.load_storms = 5.0;
+  cfg.chaos.load_storm_mean_s = 8.0;
+  cfg.chaos.load_storm_factor = 6.0;
+  cfg.deploy.enabled = true;
+  cfg.deploy.stale_fallback = true;
+
+  FleetSim free_sim(cfg);
+  const FleetReport free_run = free_sim.run();
+  ASSERT_GT(free_run.degradation.transitions_up, 0u);
+  EXPECT_TRUE(logs_event(free_sim, "deploy-broadcast"));
+  EXPECT_GT(free_run.deploy.devices_deployed, 0u);
+  for (const EdgeDegradeTimeline& tl : free_run.degradation.edges) {
+    EXPECT_EQ(tl.final_level, 0) << "edge " << tl.edge;
+  }
+  EXPECT_EQ(free_run.degradation.artifact_relays_skipped, 0u);
+
+  cfg.degrade.pin_level = 3;
+  FleetSim pinned_sim(cfg);
+  const FleetReport pinned = pinned_sim.run();
+  EXPECT_TRUE(pinned.rows_conserved());
+  EXPECT_EQ(pinned.train_rows, 0u);
+  EXPECT_FALSE(logs_event(pinned_sim, "deploy-broadcast"));
+  EXPECT_EQ(pinned.deploy.devices_missed, cfg.devices);
+}
+
 // (satellite 2) The load-storm scenario schedules compressed flush chains:
 // storm-flush events appear on the log, the fault ledger counts the storm,
 // and rows still conserve. With load_storms = 0 nothing changes — that leg

@@ -444,12 +444,13 @@ TEST(FleetPin, StandaloneLedgerArtifactsAreByteIdentical) {
 
 // FNV-1a-64 over timeseries.json, journeys.jsonl and flightrec.json, in that
 // order, exactly as write_artifacts renders them.
-std::uint64_t artifact_digest(const obs::Observatory& obsy) {
+std::uint64_t artifact_digest(const obs::Observatory& obsy,
+                              std::uint64_t h = kFnv64Basis) {
   std::ostringstream series, journeys, flight;
   obsy.series().write_json(series);
   obsy.journeys().write_jsonl(journeys);
   obsy.flight().write_json(flight);
-  return fold_digest(fold_digest(fold_digest(kFnv64Basis, series.str()), journeys.str()),
+  return fold_digest(fold_digest(fold_digest(h, series.str()), journeys.str()),
                      flight.str());
 }
 
@@ -477,6 +478,54 @@ TEST(FleetPin, ObservatoryArtifactsAreByteIdentical) {
   }
 }
 
+// Linear float32 deploy over fire-and-forget downlinks that drop 20% and
+// duplicate 30% of deliveries, with device churn and an edge crash at the
+// broadcast, so half the fleet scores the stale fallback.
+FleetConfig pinned_linear_deploy_config() {
+  FleetConfig config;
+  config.devices = 20;
+  config.edges = 2;
+  config.duration_s = 24.0;
+  config.seed = 5;
+  config.faults.device_churns = 3.0;
+  config.chaos.crash_during_broadcast = true;
+  config.deploy.enabled = true;
+  config.deploy.stale_fallback = true;
+  config.deploy.model = deploy::ModelKind::kLinear;
+  config.deploy.precision = deploy::Precision::kFloat32;
+  config.deploy.edge_device_link.drop_prob = 0.2;
+  config.deploy.edge_device_link.duplicate_prob = 0.3;
+  config.observatory.enabled = true;
+  return config;
+}
+
+// Naive-Bayes int16 deploy after the free-running degradation ladder has
+// moved, so the broadcast meets the ladder the run left behind.
+FleetConfig pinned_bayes_degrade_deploy_config() {
+  FleetConfig config = pinned_degrade_config();
+  config.deploy.enabled = true;
+  config.deploy.stale_fallback = true;
+  config.deploy.model = deploy::ModelKind::kNaiveBayes;
+  config.deploy.precision = deploy::Precision::kInt16;
+  config.observatory.enabled = true;
+  return config;
+}
+
+TEST(FleetPin, DeployVariantsAreByteIdentical) {
+  // Report, event log and the three observatory artifacts of the two deploy
+  // variants no other pin reaches. Pinned while FleetSim still owned the
+  // deploy phase inline; re-pin only for a deliberate behaviour change.
+  const std::pair<FleetConfig, std::uint64_t> pins[] = {
+      {pinned_linear_deploy_config(), 0xa54c1e8f0a225faaULL},
+      {pinned_bayes_degrade_deploy_config(), 0xee8e98e656861327ULL}};
+  for (const auto& [config, digest] : pins) {
+    FleetSim fleet(config);
+    const std::string json = fleet.run().to_json();
+    ASSERT_NE(fleet.observatory(), nullptr);
+    EXPECT_EQ(artifact_digest(*fleet.observatory(), run_digest(fleet, json)), digest);
+  }
+}
+
 TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   // Keeps the pins honest: each pinned fleet must drive the paths it claims.
   FleetSim ota_fleet(pinned_ota_config());
@@ -493,6 +542,21 @@ TEST(FleetPin, PinnedFleetsExerciseTheirSubsystems) {
   EXPECT_GT(degrade.faults.load_storms, 0u);
   EXPECT_GT(degrade.degradation.transitions_up, 0u);
   EXPECT_GT(degrade.degradation.transitions_down, 0u);
+
+  FleetSim linear_fleet(pinned_linear_deploy_config());
+  const FleetReport linear = linear_fleet.run();
+  EXPECT_TRUE(linear.rows_conserved());
+  EXPECT_EQ(linear.deploy.model, "linear");
+  EXPECT_GT(linear.deploy.devices_deployed, 0u);
+  EXPECT_GT(linear.deploy.devices_stale, 0u);
+  EXPECT_GT(linear.deploy.predictions_delivered, 0u);
+
+  FleetSim bayes_fleet(pinned_bayes_degrade_deploy_config());
+  const FleetReport bayes = bayes_fleet.run();
+  EXPECT_TRUE(bayes.rows_conserved());
+  EXPECT_EQ(bayes.deploy.model, "naive-bayes");
+  EXPECT_GT(bayes.degradation.transitions_up, 0u);
+  EXPECT_GT(bayes.deploy.predictions_delivered, 0u);
 }
 
 // ---- Ledger schema ------------------------------------------------------------
