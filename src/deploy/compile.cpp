@@ -1,6 +1,7 @@
 #include "deploy/compile.hpp"
 
 #include "deploy/codec.hpp"
+#include "deploy/quantize.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
@@ -229,6 +230,13 @@ CompiledModel fit_and_compile(ModelKind kind, const data::Dataset& train) {
     }
   }
   return {};
+}
+
+CompiledModel compile_artifact(ModelKind kind, Precision precision,
+                               const data::Dataset& train) {
+  CompiledModel model = fit_and_compile(kind, train);
+  if (precision == Precision::kFloat32) return model;
+  return quantize(model, precision);
 }
 
 }  // namespace iotml::deploy

@@ -48,4 +48,9 @@ CompiledModel compile(const kernels::KernelRidge& model,
 /// naive Bayes) on labeled `train` and lower it.
 CompiledModel fit_and_compile(ModelKind kind, const data::Dataset& train);
 
+/// fit_and_compile, then quantize to `precision` unless it is float32: the
+/// artifact a deployment ships.
+CompiledModel compile_artifact(ModelKind kind, Precision precision,
+                               const data::Dataset& train);
+
 }  // namespace iotml::deploy

@@ -6,7 +6,6 @@
 
 #include "deploy/codec.hpp"
 #include "deploy/compile.hpp"
-#include "deploy/quantize.hpp"
 #include "deploy/runtime.hpp"
 #include "obs/obs.hpp"
 #include "ota/patch.hpp"
@@ -96,11 +95,9 @@ void OtaLoop::handle_epoch(const Event& event) {
   }
   entry.train_rows = train.rows();
 
-  deploy::CompiledModel model = deploy::fit_and_compile(config_.deploy.model, train);
-  if (config_.deploy.precision != deploy::Precision::kFloat32) {
-    model = deploy::quantize(model, config_.deploy.precision);
-  }
-  std::vector<std::uint8_t> image = model.encode();
+  std::vector<std::uint8_t> image =
+      deploy::compile_artifact(config_.deploy.model, config_.deploy.precision, train)
+          .encode();
   const std::uint32_t target = ota::image_checksum(image);
   entry.image_bytes = image.size();
 
