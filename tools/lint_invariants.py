@@ -49,7 +49,9 @@ R8  transport-discipline  Direct Link transmit calls (`.transmit(` /
                           goes through net::Channel so transport policy
                           (ack/retry, backpressure, checksum accounting) is
                           applied in exactly one place. tests/ are exempt:
-                          they exercise the Link primitive directly. In
+                          they exercise the Link primitive directly.
+                          FleetSurface::send_hop, the subsystem modules' one
+                          door to FleetSim::transmit, is exempt too. In
                           src/sim/, a channel `.send(` is allowed only inside
                           FleetSim::transmit (every traced frame) and
                           FleetSim::degrade_summary_flush (the untraced
@@ -371,6 +373,7 @@ def check_serialization_casts(root: Path) -> list[str]:
 DIRECT_TRANSMIT = re.compile(r"(?:\.|->)\s*transmit\s*\(")
 CHANNEL_SEND = re.compile(r"(?:\.|->)\s*send\s*\(")
 SIM_SENDERS = ("FleetSim::transmit", "FleetSim::degrade_summary_flush")
+SURFACE_SENDERS = ("FleetSurface::send_hop",)
 DUPLICATE_READ = re.compile(r"\bduplicate_arrival_s\b")
 SIM_STRAGGLER_SCHEDULERS = ("FleetSim::schedule_arrival",)
 
@@ -384,9 +387,10 @@ def blank_definitions(code: str, names: tuple[str, ...]) -> str:
 
 
 def check_transport_discipline(root: Path) -> list[str]:
-    """R8: Link::transmit calls only inside src/net/ (tests exempt), channel
-    sends in src/sim/ only inside SIM_SENDERS, and straggler arrival times in
-    src/sim/ read only inside SIM_STRAGGLER_SCHEDULERS."""
+    """R8: Link::transmit calls only inside src/net/ (tests exempt) or
+    SURFACE_SENDERS, channel sends in src/sim/ only inside SIM_SENDERS, and
+    straggler arrival times in src/sim/ read only inside
+    SIM_STRAGGLER_SCHEDULERS."""
     problems = []
     files: list[Path] = []
     for sub in ("src", "bench", "examples"):
@@ -396,7 +400,7 @@ def check_transport_discipline(root: Path) -> list[str]:
     for f in files:
         if f.parent.name == "net" and f.parent.parent.name == "src":
             continue
-        code = strip_comments_and_strings(f.read_text())
+        code = blank_definitions(strip_comments_and_strings(f.read_text()), SURFACE_SENDERS)
         for lineno, line in enumerate(code.splitlines(), start=1):
             if DIRECT_TRANSMIT.search(line):
                 problems.append(
@@ -532,6 +536,14 @@ def self_test() -> int:
     case("R8-flag", True, {"src/sim/a.cpp": "link.transmit(msg);\n"},
          check_transport_discipline)
     case("R8-clean", False, {"src/net/channel.cpp": "link_.transmit(msg);\n"},
+         check_transport_discipline)
+    case("R8-flag-sim-link-transmit", True,
+         {"src/sim/ota_loop.cpp": "void OtaLoop::send(int l) { topo.link(l).transmit(m); }\n"},
+         check_transport_discipline)
+    case("R8-clean-surface-send-hop", False,
+         {"src/sim/fleet.cpp":
+          "Outcome FleetSurface::send_hop(Frame& f, int k) {\n"
+          "  return fleet_.transmit(f, k);\n}\n"},
          check_transport_discipline)
     case("R8-flag-sim-channel-send", True,
          {"src/sim/fleet.cpp":
