@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <numbers>
 #include <numeric>
 #include <utility>
 
-#include "deploy/compile.hpp"
-#include "deploy/quantize.hpp"
 #include "learners/decision_tree.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
+#include "sim/deploy_phase.hpp"
 #include "sim/ota_loop.hpp"
 #include "util/error.hpp"
 
@@ -136,10 +134,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   IOTML_CHECK(config.feature_keep >= 1, "FleetSim: feature_keep must be >= 1");
   IOTML_CHECK(config.checkpoint_interval_s >= 0.0,
               "FleetSim: negative checkpoint interval");
-  if (config.deploy.enabled) {
-    IOTML_CHECK(config.deploy.score_window_s > 0.0,
-                "FleetSim: deploy score window must be positive");
-  }
+  if (config.deploy.enabled) DeployPhase::validate(config.deploy);
   if (config.ota.enabled) OtaLoop::validate(config.ota);
   if (config.telemetry.enabled) {
     IOTML_CHECK(config.telemetry.scale_bits <= 52,
@@ -230,7 +225,6 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   edge_buffers_.resize(config.edges);
   edge_checkpoints_.resize(config.edges);
   device_sf_.resize(config.devices);
-  device_scored_.assign(config.devices, 0);
   if (config.degrade.enabled) {
     degrade_ctrl_.reserve(config.edges);
     for (std::size_t e = 0; e < config.edges; ++e) {
@@ -301,6 +295,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     }
   }
 
+  if (config.deploy.enabled) deploy_ = std::make_unique<DeployPhase>(config_, FleetSurface(*this));
   if (config.ota.enabled) {
     ota_ = std::make_unique<OtaLoop>(config_, FleetSurface(*this), std::move(canary_rng),
                                      std::move(epoch_rng));
@@ -396,7 +391,25 @@ FleetReport FleetSim::run() {
 
   finalize();
   if (degrade_on()) finalize_degradation();
-  if (config_.deploy.enabled) run_deploy_phase();
+  if (deploy_) {
+    const double t0 = std::max(sched_.now_s(), config_.duration_s);
+    if (deploy_->schedule_broadcast(t0)) {
+      if (config_.chaos.crash_during_broadcast && config_.edges > 0) {
+        // The chaos harness's timed scenario: edge 0 dies the instant the
+        // broadcast leaves the core and returns after the configured
+        // downtime. Its devices miss the fresh artifact and must fall back
+        // to the prior epoch's (DeployConfig::stale_fallback).
+        sched_.push(t0, EventKind::kEdgeCrash, 0);
+        sched_.push(t0 + config_.chaos.broadcast_crash_downtime_s,
+                    EventKind::kEdgeRestart, 0);
+      }
+      while (!sched_.empty()) handle(sched_.pop());
+    }
+    deploy_->serve_stale(std::max(sched_.now_s(), config_.duration_s));
+    while (!sched_.empty()) handle(sched_.pop());
+    report_.deploy = deploy_->finalize();
+    report_.faults.stale_model_devices = report_.deploy.devices_stale;
+  }
   if (ota_) report_.deploy.ota = ota_->finalize();
 
   // Stranded rows are booked last: the deploy phase can still crash an edge
@@ -490,13 +503,9 @@ void FleetSim::handle(const Event& event) {
       }
       break;
     case EventKind::kDeployBroadcast:
-      handle_deploy_broadcast(event);
-      break;
     case EventKind::kArtifactArrival:
-      handle_artifact_arrival(event);
-      break;
     case EventKind::kPredictionArrival:
-      handle_prediction_arrival(event);
+      deploy_->handle(event);
       break;
     case EventKind::kEdgeCrash:
       handle_edge_crash(event.target);
@@ -988,8 +997,7 @@ void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
               config_.degrade.sketch_cost_per_row * static_cast<double>(population);
   } else {
     // L3 summary-only: the edge reports a bare row count and sheds the
-    // window; fresh deploy artifacts also stop relaying through it (see
-    // handle_artifact_arrival).
+    // window.
     ++d.windows_summary;
     st.stage_name = "degrade(summary-only)";
     st.cost = 0.01;
@@ -1657,23 +1665,23 @@ void FleetSim::finalize() {
   analytics.columns_out = ds.num_columns();
   analytics.missing_rate_in = ds.missing_rate();
   analytics.missing_rate_out = ds.missing_rate();
+  data::Dataset train;
+  data::Dataset test;
   if (!train_idx.empty() && !test_idx.empty()) {
-    const data::Dataset train = features.select_rows(train_idx);
-    const data::Dataset test = features.select_rows(test_idx);
+    train = features.select_rows(train_idx);
+    test = features.select_rows(test_idx);
     learners::DecisionTree tree;
     tree.fit(train);
     report_.accuracy = tree.accuracy(test);
     report_.train_rows = train.rows();
     report_.test_rows = test.rows();
     analytics.cost = static_cast<double>(tree.node_count());
-    if (config_.deploy.enabled) {
-      deploy_train_ = train;
-      deploy_test_ = test;
-    }
   }
   // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
   analytics.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
   report_.stage_reports.push_back(std::move(analytics));
+  // The deploy phase compiles its artifacts from the analytics model's split.
+  if (deploy_) deploy_->prepare(train, test);
 }
 
 int FleetSim::truth_label(double time_s) const {
@@ -1700,13 +1708,25 @@ data::Dataset FleetSim::labeled_core_rows() const {
   return ds;
 }
 
+data::Dataset FleetSim::labeled_device_rows(std::size_t device, std::size_t begin,
+                                            std::size_t end) const {
+  const data::Dataset& all = device_data_[device];
+  std::vector<std::size_t> idx(end - begin);
+  std::iota(idx.begin(), idx.end(), begin);
+  data::Dataset rows = all.select_rows(idx);
+  std::vector<int> labels;
+  labels.reserve(idx.size());
+  for (const std::size_t r : idx) labels.push_back(truth_label(all.column(0).numeric(r)));
+  rows.set_labels(std::move(labels));
+  return rows;
+}
+
 FleetSurface::FleetSurface(FleetSim& fleet) noexcept
     : sched(fleet.sched_), topo(fleet.topo_), obsy(fleet.obsy_), fleet_(fleet) {}
 
 net::ChannelOutcome FleetSurface::send_hop(obs::HopRecord& frame, EventKind arrival,
                                            std::size_t message, double now_s) {
-  // Member-call syntax on a transmit is reserved for net::Link (lint rule R8).
-  return std::invoke(&FleetSim::transmit, fleet_, frame, arrival, message, now_s);
+  return fleet_.transmit(frame, arrival, message, now_s);
 }
 
 void FleetSurface::journey_arrive(const Event& event, obs::HopStream stream,
@@ -1727,268 +1747,12 @@ data::Dataset FleetSurface::recent_rows(std::size_t device, double before_s,
   const data::Dataset& all = fleet_.device_data_[device];
   std::size_t upto = 0;
   while (upto < all.rows() && all.column(0).numeric(upto) < before_s) ++upto;
-  std::vector<std::size_t> idx(std::min(count, upto));
-  std::iota(idx.begin(), idx.end(), upto - idx.size());
-  data::Dataset rows = all.select_rows(idx);
-  std::vector<int> labels;
-  labels.reserve(idx.size());
-  for (const std::size_t r : idx) labels.push_back(fleet_.truth_label(all.column(0).numeric(r)));
-  rows.set_labels(std::move(labels));
-  return rows;
+  return fleet_.labeled_device_rows(device, upto - std::min(count, upto), upto);
 }
 
-void FleetSim::prepare_deploy() {
-  obs::Span span("sim.deploy_prepare", "deploy");
-  DeploySummary& d = report_.deploy;
-  d.enabled = true;
-  d.model = deploy::model_kind_name(config_.deploy.model);
-  d.precision = deploy::precision_name(config_.deploy.precision);
-  // Nothing reached the core, or the window saw a single class: no model
-  // worth shipping. The summary stays enabled with every device missed.
-  if (deploy_train_.rows() == 0 || deploy_test_.rows() == 0) return;
-
-  deploy::CompiledModel f32 = deploy::fit_and_compile(config_.deploy.model, deploy_train_);
-  d.artifact_bytes_float32 = f32.size_bytes();
-  if (config_.deploy.precision == deploy::Precision::kFloat32) {
-    d.holdout_accuracy_float = deploy::holdout_accuracy(f32, deploy_test_);
-    d.holdout_accuracy_deployed = d.holdout_accuracy_float;
-    deployed_model_ = std::move(f32);
-  } else {
-    const deploy::QuantizationReport q = deploy::quantize_with_report(
-        f32, config_.deploy.precision, deploy_test_, &deployed_model_);
-    d.holdout_accuracy_float = q.holdout_accuracy_float;
-    d.holdout_accuracy_deployed = q.holdout_accuracy_quantized;
-  }
-  d.artifact_bytes_deployed = deployed_model_.size_bytes();
-  const deploy::InferenceCost cost = deployed_model_.cost_per_row();
-  d.cost_multiply_adds = cost.multiply_adds;
-  d.cost_comparisons = cost.comparisons;
-  d.cost_table_lookups = cost.table_lookups;
-  // The broadcast ships the real encoded bytes, framed like any message.
-  artifact_wire_bytes_ = net::kMessageHeaderBytes + d.artifact_bytes_deployed;
-  device_runtime_.emplace(deployed_model_);
-  deploy_ready_ = true;
-
-  if (config_.deploy.stale_fallback) {
-    // The prior epoch's artifact: what the previous deployment round would
-    // have compiled, here approximated as the model learned from the first
-    // half of the training window. Devices the fresh broadcast never
-    // reaches keep scoring with this instead of going dark.
-    const std::size_t half = deploy_train_.rows() / 2;
-    if (half >= 2) {
-      std::vector<std::size_t> idx(half);
-      std::iota(idx.begin(), idx.end(), std::size_t{0});
-      deploy::CompiledModel prior =
-          deploy::fit_and_compile(config_.deploy.model, deploy_train_.select_rows(idx));
-      if (config_.deploy.precision == deploy::Precision::kFloat32) {
-        stale_model_ = std::move(prior);
-      } else {
-        deploy::quantize_with_report(prior, config_.deploy.precision, deploy_test_,
-                                     &stale_model_);
-      }
-      stale_runtime_.emplace(stale_model_);
-      stale_ready_ = true;
-    }
-  }
-}
-
-void FleetSim::run_deploy_phase() {
-  prepare_deploy();
-  if (deploy_ready_) {
-    const double t0 = std::max(sched_.now_s(), config_.duration_s);
-    sched_.push(t0, EventKind::kDeployBroadcast, topo_.core());
-    if (config_.chaos.crash_during_broadcast && config_.edges > 0) {
-      // The chaos harness's timed scenario: edge 0 dies the instant the
-      // broadcast leaves the core and returns after the configured
-      // downtime. Its devices miss the fresh artifact and must fall back
-      // to the prior epoch's (DeployConfig::stale_fallback).
-      sched_.push(t0, EventKind::kEdgeCrash, 0);
-      sched_.push(t0 + config_.chaos.broadcast_crash_downtime_s,
-                  EventKind::kEdgeRestart, 0);
-    }
-    while (!sched_.empty()) handle(sched_.pop());
-  }
-  if (stale_ready_) {
-    // Degraded mode: every online device the fresh broadcast never reached
-    // serves the prior epoch's artifact; staleness is ledgered.
-    const double t1 = std::max(sched_.now_s(), config_.duration_s);
-    for (std::size_t i = 0; i < config_.devices; ++i) {
-      const net::NodeId dev = topo_.device(i);
-      if (device_scored_[i] == 0 && topo_.node(dev).up) {
-        score_on_device(dev, t1, /*stale=*/true);
-      }
-    }
-    while (!sched_.empty()) handle(sched_.pop());
-  }
-  DeploySummary& d = report_.deploy;
-  d.devices_missed = config_.devices - d.devices_deployed - d.devices_stale;
-  d.device_accuracy =
-      d.predictions_delivered == 0
-          ? 0.0
-          : static_cast<double>(d.predictions_correct) /
-                static_cast<double>(d.predictions_delivered);
-  report_.faults.stale_model_devices = d.devices_stale;
-}
-
-void FleetSim::handle_deploy_broadcast(const Event& event) {
-  if (!topo_.node(topo_.core()).up) {
-    // The core is down at broadcast time: no fresh artifact leaves it, and
-    // the whole fleet serves the prior epoch's model (stale fallback).
-    obs::registry().counter("deploy.broadcasts_skipped").add();
-    return;
-  }
-  obs::registry().counter("deploy.broadcasts").add();
-  // The broadcast's root trace id: every downlink frame of this epoch lists
-  // it as parent, so fleetscope can reconstruct the artifact's journey.
-  broadcast_trace_ = next_trace_++;
-  obsy_.origin(broadcast_trace_, obs::HopStream::kArtifact, topo_.core(), event.time_s, 0,
-               artifact_wire_bytes_);
-  obsy_.note(topo_.core(), event.time_s, "broadcast", config_.edges, artifact_wire_bytes_);
-  for (std::size_t j = 0; j < config_.edges; ++j) {
-    send_artifact(topo_.edge(j), event.time_s);
-  }
-}
-
-void FleetSim::send_artifact(net::NodeId to, double now_s) {
-  // The sender's radio spends the bytes whether or not the wire delivers.
-  report_.deploy.downlink_bytes += artifact_wire_bytes_;
-  obs::registry().counter("deploy.artifact_sends").add();
-  obs::registry().counter("deploy.downlink_bytes").add(artifact_wire_bytes_);
-  obs::HopRecord frame{.stream = obs::HopStream::kArtifact, .src = topo_.next_hop(to),
-                       .dst = to, .bytes = artifact_wire_bytes_,
-                       .parents = {broadcast_trace_}};
-  if (transmit(frame, EventKind::kArtifactArrival, kNoMessage, now_s).corrupted) {
-    // The artifact frame fails its checksum at the receiver, which keeps
-    // its prior model rather than binding corrupt parameters.
-    obs::registry().counter("deploy.artifact_corrupt_rejected").add();
-  }
-}
-
-void FleetSim::handle_artifact_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  if (event.duplicate) {
-    obs::registry().counter("deploy.duplicates_discarded").add();
-    journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0, "duplicate");
-    return;
-  }
-  if (topo_.node(node).up) obsy_.note(node, event.time_s, "rx-artifact", artifact_wire_bytes_);
-  journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0,
-                 topo_.node(node).up ? "accepted" : "dead_receiver");
-  if (node >= config_.devices) {
-    // An edge: relay the artifact to every attached device (a down edge
-    // strands the broadcast; its devices end up in devices_missed).
-    if (!topo_.node(node).up) return;
-    const std::size_t j = node - config_.devices;
-    if (degrade_on() &&
-        degrade_ctrl_[j].level() == approx::DegradeLevel::kSummary) {
-      // L3 summary-only: the edge sheds artifact relays along with rows; its
-      // devices keep serving the stale fallback (or land in devices_missed).
-      ++report_.degradation.artifact_relays_skipped;
-      obs::registry().counter("sim.degrade.artifact_relays_skipped").add();
-      return;
-    }
-    for (std::size_t i = 0; i < config_.devices; ++i) {
-      if (i % config_.edges == j) send_artifact(topo_.device(i), event.time_s);
-    }
-    return;
-  }
-  if (!topo_.node(node).up) return;  // churn: device offline at arrival
-  score_on_device(node, event.time_s, /*stale=*/false);
-}
-
-void FleetSim::score_on_device(net::NodeId device, double now_s, bool stale) {
-  DeploySummary& d = report_.deploy;
-  std::optional<deploy::DeviceRuntime>& slot = stale ? stale_runtime_ : device_runtime_;
-  IOTML_CHECK(slot.has_value(),
-              "FleetSim::score_on_device: runtime not compiled before scoring");
-  deploy::DeviceRuntime& runtime = *slot;
-  if (stale) {
-    ++d.devices_stale;
-    obs::registry().counter("sim.recovery.stale_model_serves").add();
-  } else {
-    ++d.devices_deployed;
-    device_scored_[device] = 1;
-    obs::registry().counter("deploy.devices_deployed").add();
-  }
-
-  const data::Dataset& all = device_data_[device];
-  const std::size_t begin = device_cursor_[device];
-  const std::size_t count = all.rows() - begin;
-  if (count == 0) return;
-
-  runtime.bind(all);
-  PredBatch batch;
-  batch.device = device;
-  batch.rows = count;
-  for (std::size_t r = begin; r < all.rows(); ++r) {
-    const int pred = runtime.predict_row(all, r);
-    if (pred == truth_label(all.column(0).numeric(r))) ++batch.correct;
-  }
-  if (stale) {
-    d.rows_scored_stale += count;
-    obs::registry().counter("sim.recovery.rows_scored_stale").add(count);
-  } else {
-    d.rows_scored += count;
-    obs::registry().counter("deploy.rows_scored").add(count);
-  }
-
-  // Counterfactual: what uplinking these raw rows (the pre-deployment
-  // regime) would have cost. The payload crosses both hops; edge batching
-  // would amortize the second header, which this deliberately ignores —
-  // the payload bytes dominate.
-  std::vector<std::size_t> idx(count);
-  std::iota(idx.begin(), idx.end(), begin);
-  net::Message raw;
-  raw.payload = all.select_rows(idx);
-  raw.origin_s = {now_s};
-  d.uplink_raw_bytes += 2 * net::wire_size_bytes(raw);
-
-  // One bit per prediction on the wire, plus a u32 row count. Ground truth
-  // never travels: the core evaluates against labels it already knows.
-  batch.wire_bytes = net::kMessageHeaderBytes + 4 + (count + 7) / 8;
-  pred_batches_.push_back(batch);
-  pred_traces_.push_back(next_trace_++);
-  obsy_.origin(pred_traces_.back(), obs::HopStream::kPredictions, device, now_s, count,
-               batch.wire_bytes);
-  obsy_.note(device, now_s, stale ? "score-stale" : "score", count);
-  send_predictions(device, pred_batches_.size() - 1, now_s);
-}
-
-void FleetSim::send_predictions(net::NodeId from, std::size_t batch, double now_s) {
-  const std::size_t bytes = pred_batches_[batch].wire_bytes;
-  report_.deploy.uplink_prediction_bytes += bytes;
-  obs::registry().counter("deploy.prediction_bytes").add(bytes);
-  obs::HopRecord frame{.stream = obs::HopStream::kPredictions, .src = from,
-                       .dst = topo_.next_hop(from), .rows = pred_batches_[batch].rows,
-                       .bytes = bytes, .parents = {pred_traces_[batch]}};
-  if (transmit(frame, EventKind::kPredictionArrival, batch, now_s).corrupted) {
-    // A corrupt prediction batch is rejected at the receiver; predictions
-    // are best-effort telemetry and are not retried in fire-and-forget mode.
-    obs::registry().counter("deploy.prediction_corrupt_rejected").add();
-  }
-}
-
-void FleetSim::handle_prediction_arrival(const Event& event) {
-  const net::NodeId node = event.target;
-  const PredBatch& batch = pred_batches_[event.message];
-  const std::uint64_t trace = pred_traces_[event.message];
-  if (event.duplicate) {
-    obs::registry().counter("deploy.duplicates_discarded").add();
-    journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows, "duplicate");
-    return;
-  }
-  if (node == topo_.core()) {
-    report_.deploy.predictions_delivered += batch.rows;
-    report_.deploy.predictions_correct += batch.correct;
-    obs::registry().counter("deploy.predictions_delivered").add(batch.rows);
-    journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows, "accepted");
-    obsy_.note(node, event.time_s, "rx-predictions", batch.rows);
-    return;
-  }
-  journey_arrive(event, obs::HopStream::kPredictions, trace, batch.rows,
-                 topo_.node(node).up ? "accepted" : "dead_receiver");
-  if (!topo_.node(node).up) return;  // stranded at a down edge
-  send_predictions(node, event.message, event.time_s);
+data::Dataset FleetSurface::scoring_window(std::size_t device) const {
+  return fleet_.labeled_device_rows(device, fleet_.device_cursor_[device],
+                                    fleet_.device_data_[device].rows());
 }
 
 }  // namespace iotml::sim

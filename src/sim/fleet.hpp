@@ -14,7 +14,6 @@
 #include "approx/sketch.hpp"
 #include "data/dataset.hpp"
 #include "deploy/compiled_model.hpp"
-#include "deploy/runtime.hpp"
 #include "net/channel.hpp"
 #include "obs/observatory.hpp"
 #include "net/faults.hpp"
@@ -116,8 +115,7 @@ struct TelemetryConfig {
 ///                 carries a 95% confidence interval
 ///   L2 sketch   — the window collapses to mergeable sketches (count-min +
 ///                 bottom-k quantile); only a fixed-size summary uplinks
-///   L3 summary  — row counts only; deploy artifact relays pause so devices
-///                 fall back to the stale model
+///   L3 summary  — row counts only; every row is shed at the edge
 ///
 /// Off by default. When off, no controller exists, no degrade stream is
 /// drawn from, and runs are byte-identical to pre-ladder builds. When on
@@ -234,7 +232,7 @@ class FleetSim;
 
 /// What a subsystem module (DESIGN.md §14) may reach of the fleet that hosts
 /// it: the traced send path, the arrival journal, the scheduler, the
-/// topology (read-only), the observatory, the trace-id counter and two data
+/// topology (read-only), the observatory, the trace-id counter and three data
 /// reads. Everything else stays FleetSim's. Only FleetSim can make one.
 class FleetSurface {
  public:
@@ -255,6 +253,9 @@ class FleetSurface {
   data::Dataset training_set() const;
   /// The last `count` rows `device` sensed before `before_s`, labeled.
   data::Dataset recent_rows(std::size_t device, double before_s, std::size_t count) const;
+  /// The rows `device` sensed but never flushed upstream (its deploy scoring
+  /// window), labeled.
+  data::Dataset scoring_window(std::size_t device) const;
 
  private:
   friend class FleetSim;
@@ -262,6 +263,7 @@ class FleetSurface {
   FleetSim& fleet_;
 };
 
+class DeployPhase;
 class OtaLoop;
 
 /// Deterministic discrete-event simulator of the paper's Fig. 1: devices
@@ -350,6 +352,9 @@ class FleetSim {
   /// The core's rows so far, time-ordered and labeled with the analytics
   /// concept. Requires at least one row.
   data::Dataset labeled_core_rows() const;
+  /// Rows [begin, end) of `device`'s sensed data, labeled.
+  data::Dataset labeled_device_rows(std::size_t device, std::size_t begin,
+                                    std::size_t end) const;
 
   // Fault-tolerance machinery (see DESIGN.md §11).
   void handle_checkpoint(std::size_t edge_index);
@@ -374,17 +379,6 @@ class FleetSim {
   /// and overflow evicts whole frames oldest-first (byte bound first, then
   /// the legacy row cap) keeping both structures in lockstep.
   void telemetry_store(net::NodeId device, Buffer&& chunk);
-
-  // Deploy phase (config_.deploy.enabled): compile at the core, broadcast
-  // down, score on-device, uplink predictions.
-  void prepare_deploy();
-  void run_deploy_phase();
-  void handle_deploy_broadcast(const Event& event);
-  void handle_artifact_arrival(const Event& event);
-  void handle_prediction_arrival(const Event& event);
-  void send_artifact(net::NodeId to, double now_s);
-  void send_predictions(net::NodeId from, std::size_t batch, double now_s);
-  void score_on_device(net::NodeId device, double now_s, bool stale);
 
   // Graceful-degradation ladder (config_.degrade.enabled; DESIGN.md §16).
   bool degrade_on() const noexcept { return config_.degrade.enabled; }
@@ -479,30 +473,8 @@ class FleetSim {
   std::vector<double> base_drop_prob_;
   std::vector<double> base_corrupt_prob_;
 
-  /// One on-device prediction batch in flight (device -> edge -> core).
-  /// Ground truth is resolved at scoring time — the simulator knows it —
-  /// so the wire carries one bit per prediction, never labels.
-  struct PredBatch {
-    net::NodeId device = 0;
-    std::size_t rows = 0;
-    std::size_t correct = 0;
-    std::size_t wire_bytes = 0;
-  };
-
-  data::Dataset deploy_train_, deploy_test_;  ///< core split, kept for compile
-  deploy::CompiledModel deployed_model_;
-  std::optional<deploy::DeviceRuntime> device_runtime_;
-  bool deploy_ready_ = false;
-  std::size_t artifact_wire_bytes_ = 0;
-  std::vector<PredBatch> pred_batches_;
-  std::vector<std::uint64_t> pred_traces_;  ///< batch trace ids, parallel
-  std::uint64_t broadcast_trace_ = 0;       ///< deploy broadcast trace id
-
-  deploy::CompiledModel stale_model_;  ///< prior epoch's artifact (fallback)
-  std::optional<deploy::DeviceRuntime> stale_runtime_;
-  bool stale_ready_ = false;
-  std::vector<std::uint8_t> device_scored_;  ///< device index -> fresh artifact scored
-
+  /// The deploy phase (DESIGN.md §14); null unless config_.deploy.enabled.
+  std::unique_ptr<DeployPhase> deploy_;
   /// The OTA delta-update loop (DESIGN.md §14); null unless config_.ota.enabled.
   std::unique_ptr<OtaLoop> ota_;
 
