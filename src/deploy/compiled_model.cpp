@@ -37,17 +37,22 @@ Tensor decode_tensor(ByteReader& r) {
   t.precision = static_cast<Precision>(p);
   t.scale = r.f32();
   const std::uint32_t n = r.u32();
+  // The header-driven reserve is bounded by the bytes that remain: a lying
+  // length must fail as truncation, never as an oversized reserve.
+  const auto bounded = [&r, n](std::size_t width) {
+    return std::min<std::size_t>(n, r.remaining() / width);
+  };
   switch (t.precision) {
     case Precision::kFloat32:
-      t.f.reserve(n);
+      t.f.reserve(bounded(4));
       for (std::uint32_t i = 0; i < n; ++i) t.f.push_back(r.f32());
       break;
     case Precision::kInt16:
-      t.q.reserve(n);
+      t.q.reserve(bounded(2));
       for (std::uint32_t i = 0; i < n; ++i) t.q.push_back(r.i16());
       break;
     case Precision::kInt8:
-      t.q.reserve(n);
+      t.q.reserve(bounded(1));
       for (std::uint32_t i = 0; i < n; ++i) t.q.push_back(r.i8());
       break;
   }

@@ -1,5 +1,6 @@
 #include "tdf/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -84,7 +85,9 @@ std::pair<std::uint8_t, std::vector<std::uint8_t>> encode_stream(
 std::vector<double> decode_stream(ByteReader& r, std::uint8_t tag,
                                   std::uint8_t scale_bits, std::size_t count) {
   std::vector<double> values;
-  values.reserve(count);
+  // Every value is at least one varint byte, so the bytes that remain bound
+  // the reserve: a lying count fails as truncation, not as an oversized one.
+  values.reserve(std::min(count, r.remaining()));
   if (tag == kTagRawBits) {
     std::uint64_t prev_bits = 0;
     for (std::size_t i = 0; i < count; ++i) {

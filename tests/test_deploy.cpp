@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "deploy/codec.hpp"
 #include "deploy/compile.hpp"
 #include "deploy/compiled_model.hpp"
 #include "deploy/quantize.hpp"
@@ -180,6 +181,26 @@ TEST(DeployGolden, DecodeRejectsCorruption) {
   EXPECT_THROW(CompiledModel::decode(flipped), InvalidArgument);
 
   EXPECT_THROW(CompiledModel::decode({}), InvalidArgument);
+}
+
+TEST(DeployGolden, DecodeBoundsTensorReservesByTheRemainingBytes) {
+  // A 25-byte linear artifact with no features whose weight tensor claims
+  // 0xFFFFFFFF float32 values, under a valid trailer: the lying count must
+  // fail as truncation, never as a 16 GB reserve.
+  ByteWriter w;
+  for (const char m : {'I', 'O', 'M', 'L'}) w.u8(static_cast<std::uint8_t>(m));
+  w.u16(1);                                           // format version
+  w.u8(enum_u8(ModelKind::kLinear));
+  w.u8(enum_u8(Precision::kFloat32));
+  w.u16(2);                                           // classes
+  w.u16(0);                                           // features
+  w.u8(enum_u8(Precision::kFloat32));                 // weights tensor
+  w.f32(1.0F);                                        // scale
+  w.u32(0xFFFFFFFFU);                                 // length
+  w.u32(fnv1a(w.bytes().data(), w.size()));
+  const std::vector<std::uint8_t> bytes = w.take();
+  ASSERT_EQ(bytes.size(), 25u);
+  EXPECT_THROW(CompiledModel::decode(bytes), InvalidArgument);
 }
 
 TEST(DeployGolden, CostModelIsDeterministic) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include "tdf/codec.hpp"
 #include "tdf/device_log.hpp"
 #include "tdf/schema.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace iotml::tdf {
@@ -212,6 +214,26 @@ TEST(TdfFrame, RejectsTruncationAndEveryBitFlip) {
     EXPECT_FALSE(frame_intact(damaged)) << "flip at byte " << i;
     EXPECT_THROW(decode_frame(damaged, reg), InvalidArgument);
   }
+}
+
+TEST(TdfFrame, DecodeBoundsOriginReservesByTheRemainingBytes) {
+  // A one-row frame whose origin count is rewritten to 0xFFFFFFFF and whose
+  // trailer is restamped: the lying count must fail as truncation, never as
+  // a 32 GB reserve.
+  data::Dataset ds = sensor_window().select_rows({0});
+  quantize(ds, kScale);
+  const Schema schema = Schema::infer(ds, kScale);
+  std::vector<std::uint8_t> wire = encode_frame(schema, ds, {}, 1, 0, true);
+  // Tail: origin count (u32), origin scale, origin tag, no origin bytes,
+  // then the trailer.
+  const std::size_t body = wire.size() - 4;
+  for (std::size_t i = body - 6; i < body - 2; ++i) wire[i] = 0xFF;
+  util::ByteWriter trailer;
+  trailer.u32(util::fnv1a(wire.data(), body));
+  std::copy(trailer.bytes().begin(), trailer.bytes().end(), wire.begin() + body);
+  ASSERT_TRUE(frame_intact(wire));
+  SchemaRegistry reg;
+  EXPECT_THROW(decode_frame(wire, reg), InvalidArgument);
 }
 
 TEST(TdfFrame, RefusesUnknownSchemaId) {
