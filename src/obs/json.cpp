@@ -259,22 +259,6 @@ const Json* Json::find(const std::string& key) const {
   return nullptr;
 }
 
-double Json::num_or(const std::string& key, double fallback) const {
-  const Json* v = find(key);
-  return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-}
-
-std::uint64_t Json::u64_or(const std::string& key, std::uint64_t fallback) const {
-  const Json* v = find(key);
-  std::uint64_t out = 0;
-  return v != nullptr && v->to_int(out) ? out : fallback;
-}
-
-std::string Json::str_or(const std::string& key, const std::string& fallback) const {
-  const Json* v = find(key);
-  return v != nullptr && v->kind == Kind::kString ? v->str : fallback;
-}
-
 bool parse_json(const std::string& text, Json& out, std::string& error) {
   out = Json{};
   Parser p(text, error);

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -52,11 +51,6 @@ struct Json {
   bool to_int(T& out) const {
     return kind == Kind::kNumber && parse_int(str, out);
   }
-
-  double num_or(const std::string& key, double fallback) const;
-  /// `fallback` unless `key` holds an integer that fits 64 unsigned bits.
-  std::uint64_t u64_or(const std::string& key, std::uint64_t fallback) const;
-  std::string str_or(const std::string& key, const std::string& fallback) const;
 };
 
 /// Containers nested deeper than this are rejected, so hostile input cannot

@@ -649,7 +649,9 @@ TEST(JsonReader, ReadsValuesAndExactIntegers) {
   EXPECT_EQ(a.arr[4].kind, obs::Json::Kind::kNull);
   EXPECT_EQ(a.arr[5].str, "x\xC3\xA9\xF0\x9F\x98\x80\n");
   // A 64-bit trace id reads back exactly, past double precision.
-  EXPECT_EQ(json.u64_or("id", 0), 18446744073709551615ULL);
+  std::uint64_t id = 0;
+  EXPECT_TRUE(json.find("id")->to_int(id));
+  EXPECT_EQ(id, 18446744073709551615ULL);
   EXPECT_EQ(json.find("b")->kind, obs::Json::Kind::kObject);
 }
 

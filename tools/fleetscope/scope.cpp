@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <istream>
 #include <sstream>
@@ -23,6 +24,49 @@ std::string read_all(std::istream& in) {
   return buf.str();
 }
 
+// Readers of one field the writers always emit. Each fills `out` and returns
+// true, or sets `bad` to the field's name when it is missing or does not fit.
+template <std::integral T>
+bool read(const Json& row, const char* key, T& out, std::string& bad) {
+  const Json* v = row.find(key);
+  if (v != nullptr && v->to_int(out)) return true;
+  bad = key;
+  return false;
+}
+
+bool read(const Json& row, const char* key, double& out, std::string& bad) {
+  const Json* v = row.find(key);
+  if (v != nullptr && v->kind == Json::Kind::kNumber) {
+    out = v->number;
+    return true;
+  }
+  bad = key;
+  return false;
+}
+
+bool read(const Json& row, const char* key, std::string& out, std::string& bad) {
+  const Json* v = row.find(key);
+  if (v != nullptr && v->kind == Json::Kind::kString) {
+    out = v->str;
+    return true;
+  }
+  bad = key;
+  return false;
+}
+
+/// The array `key`, or null (and `bad` set) when it is missing or not one.
+const Json* read_array(const Json& row, const char* key, std::string& bad) {
+  const Json* v = row.find(key);
+  if (v != nullptr && v->kind == Json::Kind::kArray) return v;
+  bad = key;
+  return nullptr;
+}
+
+bool bad_field(const std::string& where, const std::string& field, std::string& error) {
+  error = where + ": bad or missing field " + field;
+  return false;
+}
+
 }  // namespace
 
 bool parse_journeys(std::istream& in, JourneyFile& out, std::string& error) {
@@ -32,37 +76,36 @@ bool parse_journeys(std::istream& in, JourneyFile& out, std::string& error) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const std::string where = "journeys.jsonl line " + std::to_string(line_no);
     Json row;
     if (!parse_json(line, row, error)) {
-      error = "journeys.jsonl line " + std::to_string(line_no) + ": " + error;
+      error = where + ": " + error;
       return false;
     }
+    std::string bad;
     if (const Json* meta = row.find("meta"); meta != nullptr) {
       out.meta_present = true;
-      out.meta_records = meta->u64_or("records", 0);
-      out.meta_dropped = meta->u64_or("dropped", 0);
+      if (!read(*meta, "records", out.meta_records, bad) ||
+          !read(*meta, "dropped", out.meta_dropped, bad)) {
+        return bad_field(where, "meta." + bad, error);
+      }
       continue;
     }
     ScopeRecord rec;
-    rec.trace = row.u64_or("trace", 0);
-    rec.hop = static_cast<std::uint32_t>(row.u64_or("hop", 0));
-    rec.kind = row.str_or("kind", "");
-    rec.stream = row.str_or("stream", "");
-    rec.src = static_cast<std::size_t>(row.u64_or("src", 0));
-    rec.dst = static_cast<std::size_t>(row.u64_or("dst", 0));
-    rec.t0_s = row.num_or("t0", 0.0);
-    rec.t1_s = row.num_or("t1", 0.0);
-    rec.rows = static_cast<std::size_t>(row.u64_or("rows", 0));
-    rec.bytes = static_cast<std::size_t>(row.u64_or("bytes", 0));
-    rec.attempts = static_cast<std::uint32_t>(row.u64_or("attempts", 0));
-    rec.outcome = row.str_or("outcome", "");
-    if (const Json* parents = row.find("parents");
-        parents != nullptr && parents->kind == Json::Kind::kArray) {
-      for (const Json& p : parents->arr) {
-        if (!p.to_int(rec.parents.emplace_back())) {
-          error = "journeys.jsonl line " + std::to_string(line_no) + ": bad parent trace id";
-          return false;
-        }
+    if (!read(row, "trace", rec.trace, bad) || !read(row, "kind", rec.kind, bad) ||
+        !read(row, "stream", rec.stream, bad) || !read(row, "hop", rec.hop, bad) ||
+        !read(row, "src", rec.src, bad) || !read(row, "dst", rec.dst, bad) ||
+        !read(row, "t0", rec.t0_s, bad) || !read(row, "t1", rec.t1_s, bad) ||
+        !read(row, "rows", rec.rows, bad) || !read(row, "bytes", rec.bytes, bad) ||
+        !read(row, "attempts", rec.attempts, bad) || !read(row, "outcome", rec.outcome, bad)) {
+      return bad_field(where, bad, error);
+    }
+    const Json* parents = read_array(row, "parents", bad);
+    if (parents == nullptr) return bad_field(where, bad, error);
+    for (const Json& p : parents->arr) {
+      if (!p.to_int(rec.parents.emplace_back())) {
+        return bad_field(where, "parents[" + std::to_string(rec.parents.size() - 1) + "]",
+                         error);
       }
     }
     out.records.push_back(std::move(rec));
@@ -77,27 +120,28 @@ bool parse_timeseries(std::istream& in, SeriesFile& out, std::string& error) {
     error = "timeseries.json: " + error;
     return false;
   }
-  out.capacity = static_cast<std::size_t>(root.u64_or("capacity", 0));
-  const Json* series = root.find("series");
-  if (series == nullptr || series->kind != Json::Kind::kArray) {
-    error = "timeseries.json: missing \"series\" array";
-    return false;
-  }
+  std::string bad;
+  if (!read(root, "capacity", out.capacity, bad)) return bad_field("timeseries.json", bad, error);
+  const Json* series = read_array(root, "series", bad);
+  if (series == nullptr) return bad_field("timeseries.json", bad, error);
   for (const Json& row : series->arr) {
+    const std::string at = "series[" + std::to_string(out.series.size()) + "].";
     SeriesEntry entry;
-    entry.metric = row.str_or("metric", "");
-    entry.entity = row.str_or("entity", "");
-    entry.tier = row.str_or("tier", "");
-    entry.total = row.u64_or("total", 0);
-    if (const Json* samples = row.find("samples");
-        samples != nullptr && samples->kind == Json::Kind::kArray) {
-      for (const Json& pair : samples->arr) {
-        if (pair.kind != Json::Kind::kArray || pair.arr.size() != 2) {
-          error = "timeseries.json: sample is not a [t, value] pair";
-          return false;
-        }
-        entry.samples.emplace_back(pair.arr[0].number, pair.arr[1].number);
+    if (!read(row, "metric", entry.metric, bad) || !read(row, "entity", entry.entity, bad) ||
+        !read(row, "tier", entry.tier, bad) || !read(row, "total", entry.total, bad)) {
+      return bad_field("timeseries.json", at + bad, error);
+    }
+    const Json* samples = read_array(row, "samples", bad);
+    if (samples == nullptr) return bad_field("timeseries.json", at + bad, error);
+    for (const Json& pair : samples->arr) {
+      const bool ok = pair.kind == Json::Kind::kArray && pair.arr.size() == 2 &&
+                      pair.arr[0].kind == Json::Kind::kNumber &&
+                      pair.arr[1].kind == Json::Kind::kNumber;
+      if (!ok) {
+        return bad_field("timeseries.json",
+                         at + "samples[" + std::to_string(entry.samples.size()) + "]", error);
       }
+      entry.samples.emplace_back(pair.arr[0].number, pair.arr[1].number);
     }
     out.series.push_back(std::move(entry));
   }
@@ -111,26 +155,36 @@ bool parse_flightrec(std::istream& in, FlightFile& out, std::string& error) {
     error = "flightrec.json: " + error;
     return false;
   }
-  out.ring_capacity = static_cast<std::size_t>(root.u64_or("ring_capacity", 0));
-  const Json* entities = root.find("entities");
-  if (entities == nullptr || entities->kind != Json::Kind::kArray) {
-    error = "flightrec.json: missing \"entities\" array";
-    return false;
+  std::string bad;
+  if (!read(root, "ring_capacity", out.ring_capacity, bad)) {
+    return bad_field("flightrec.json", bad, error);
   }
+  const Json* entities = read_array(root, "entities", bad);
+  if (entities == nullptr) return bad_field("flightrec.json", bad, error);
   for (const Json& row : entities->arr) {
+    const std::string at = "entities[" + std::to_string(out.entities.size()) + "].";
     FlightEntity entity;
-    entity.entity = static_cast<std::size_t>(row.u64_or("entity", 0));
-    entity.total = row.u64_or("total", 0);
-    if (const Json* events = row.find("events");
-        events != nullptr && events->kind == Json::Kind::kArray) {
-      for (const Json& ev : events->arr) {
-        std::ostringstream line;
-        char t_buf[64];
-        std::snprintf(t_buf, sizeof t_buf, "%.17g", ev.num_or("t", 0.0));
-        line << "t=" << t_buf << " " << ev.str_or("kind", "?") << " a="
-             << ev.u64_or("a", 0) << " b=" << ev.u64_or("b", 0);
-        entity.lines.push_back(line.str());
+    if (!read(row, "entity", entity.entity, bad) || !read(row, "total", entity.total, bad)) {
+      return bad_field("flightrec.json", at + bad, error);
+    }
+    const Json* events = read_array(row, "events", bad);
+    if (events == nullptr) return bad_field("flightrec.json", at + bad, error);
+    for (const Json& ev : events->arr) {
+      double t = 0.0;
+      std::string kind;
+      std::uint64_t a = 0;
+      std::uint64_t b = 0;
+      if (!read(ev, "t", t, bad) || !read(ev, "kind", kind, bad) || !read(ev, "a", a, bad) ||
+          !read(ev, "b", b, bad)) {
+        return bad_field("flightrec.json",
+                         at + "events[" + std::to_string(entity.lines.size()) + "]." + bad,
+                         error);
       }
+      char t_buf[64];
+      std::snprintf(t_buf, sizeof t_buf, "%.17g", t);
+      std::ostringstream line;
+      line << "t=" << t_buf << " " << kind << " a=" << a << " b=" << b;
+      entity.lines.push_back(line.str());
     }
     out.entities.push_back(std::move(entity));
   }
