@@ -295,7 +295,9 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
     }
   }
 
-  if (config.deploy.enabled) deploy_ = std::make_unique<DeployPhase>(config_, FleetSurface(*this));
+  if (config.deploy.enabled) {
+    deploy_ = std::make_unique<DeployPhase>(config_, FleetSurface(*this));
+  }
   if (config.ota.enabled) {
     ota_ = std::make_unique<OtaLoop>(config_, FleetSurface(*this), std::move(canary_rng),
                                      std::move(epoch_rng));
@@ -392,6 +394,8 @@ FleetReport FleetSim::run() {
   finalize();
   if (degrade_on()) finalize_degradation();
   if (deploy_) {
+    // Ship the model to the data once the learning window has drained: the
+    // fresh broadcast first, then the stale artifact for devices it missed.
     const double t0 = std::max(sched_.now_s(), config_.duration_s);
     if (deploy_->schedule_broadcast(t0)) {
       if (config_.chaos.crash_during_broadcast && config_.edges > 0) {
