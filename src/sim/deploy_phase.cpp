@@ -28,27 +28,22 @@ void DeployPhase::prepare(const data::Dataset& train, const data::Dataset& test)
   // worth shipping. The summary stays enabled with every device missed.
   if (train.rows() == 0 || test.rows() == 0) return;
 
-  deploy::CompiledModel f32 = deploy::fit_and_compile(config_.deploy.model, train);
-  d.artifact_bytes_float32 = f32.size_bytes();
-  deploy::CompiledModel deployed;
-  if (config_.deploy.precision == deploy::Precision::kFloat32) {
-    d.holdout_accuracy_float = deploy::holdout_accuracy(f32, test);
-    d.holdout_accuracy_deployed = d.holdout_accuracy_float;
-    deployed = std::move(f32);
-  } else {
-    const deploy::QuantizationReport q =
-        deploy::quantize_with_report(f32, config_.deploy.precision, test, &deployed);
-    d.holdout_accuracy_float = q.holdout_accuracy_float;
-    d.holdout_accuracy_deployed = q.holdout_accuracy_quantized;
+  deploy::CompiledModel model = deploy::fit_and_compile(config_.deploy.model, train);
+  d.artifact_bytes_float32 = model.size_bytes();
+  d.holdout_accuracy_float = deploy::holdout_accuracy(model, test);
+  d.holdout_accuracy_deployed = d.holdout_accuracy_float;
+  if (config_.deploy.precision != deploy::Precision::kFloat32) {
+    model = deploy::quantize(model, config_.deploy.precision);
+    d.holdout_accuracy_deployed = deploy::holdout_accuracy(model, test);
   }
-  d.artifact_bytes_deployed = deployed.size_bytes();
-  const deploy::InferenceCost cost = deployed.cost_per_row();
+  d.artifact_bytes_deployed = model.size_bytes();
+  const deploy::InferenceCost cost = model.cost_per_row();
   d.cost_multiply_adds = cost.multiply_adds;
   d.cost_comparisons = cost.comparisons;
   d.cost_table_lookups = cost.table_lookups;
   // The broadcast ships the real encoded bytes, framed like any message.
   artifact_wire_bytes_ = net::kMessageHeaderBytes + d.artifact_bytes_deployed;
-  fresh_.emplace(std::move(deployed));
+  fresh_.emplace(std::move(model));
 
   if (config_.deploy.stale_fallback) {
     // The prior epoch's artifact: what the previous deployment round would
