@@ -175,7 +175,6 @@ void DeployPhase::score_on_device(net::NodeId device, double now_s, bool stale) 
 
   runtime.bind(rows);
   PredBatch batch;
-  batch.device = device;
   batch.rows = count;
   for (std::size_t r = 0; r < count; ++r) {
     if (runtime.predict_row(rows, r) == rows.label(r)) ++batch.correct;

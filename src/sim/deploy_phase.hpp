@@ -49,7 +49,6 @@ class DeployPhase {
   /// Ground truth is resolved at scoring time — the simulator knows it —
   /// so the wire carries one bit per prediction, never labels.
   struct PredBatch {
-    net::NodeId device = 0;
     std::size_t rows = 0;
     std::size_t correct = 0;
     std::size_t wire_bytes = 0;
