@@ -199,24 +199,30 @@ TEST(DegradeLedger, FreeRunningLadderIsDeterministic) {
   EXPECT_EQ(degradation_to_json(ra.degradation), degradation_to_json(rb.degradation));
 }
 
-// (a) No level flapping across chaos burst boundaries: however violent the
-// compound chaos + load storm schedule, an escalation is never followed by
-// a de-escalation earlier than the hysteresis dwell, and the calm tail
-// walks every edge back to L0 with the ledger still closed.
-TEST(DegradeLadder, NoFlappingAcrossChaosBursts) {
+// The golden fleet over 60 s with a free-running ladder under load storms.
+// Bands tight enough that the compound schedule actually walks the ladder
+// (default bands only move on extreme fleets; these tests need transitions).
+FleetConfig moving_ladder_config() {
   FleetConfig cfg = golden_config();
   cfg.duration_s = 60.0;
   cfg.degrade.enabled = true;
   cfg.channel.queue_capacity = 2;
   cfg.degrade.dead_letter_rate_ref = 0.25;
-  // Bands tight enough that the compound schedule actually walks the ladder
-  // (default bands only move on extreme fleets; this test needs transitions).
   cfg.degrade.thresholds.up = {0.2, 0.6, 1.2};
   cfg.degrade.thresholds.down = {0.1, 0.4, 0.9};
   cfg.degrade.thresholds.dwell_s = 3.0;
   cfg.chaos.load_storms = 5.0;
   cfg.chaos.load_storm_mean_s = 8.0;
   cfg.chaos.load_storm_factor = 6.0;
+  return cfg;
+}
+
+// (a) No level flapping across chaos burst boundaries: however violent the
+// compound chaos + load storm schedule, an escalation is never followed by
+// a de-escalation earlier than the hysteresis dwell, and the calm tail
+// walks every edge back to L0 with the ledger still closed.
+TEST(DegradeLadder, NoFlappingAcrossChaosBursts) {
+  const FleetConfig cfg = moving_ladder_config();
   FleetSim sim(cfg);
   const FleetReport report = sim.run();
   const DegradationLedger& d = report.degradation;
@@ -269,17 +275,7 @@ bool logs_event(const FleetSim& sim, const std::string& kind) {
 // has settled every edge back to L0 before the broadcast leaves the core,
 // and a ladder pinned at L3 sheds every row, so no artifact is ever built.
 TEST(FleetDegrade, DeployBroadcastMeetsASettledLadder) {
-  FleetConfig cfg = golden_config();
-  cfg.duration_s = 60.0;
-  cfg.channel.queue_capacity = 2;
-  cfg.degrade.enabled = true;
-  cfg.degrade.dead_letter_rate_ref = 0.25;
-  cfg.degrade.thresholds.up = {0.2, 0.6, 1.2};
-  cfg.degrade.thresholds.down = {0.1, 0.4, 0.9};
-  cfg.degrade.thresholds.dwell_s = 3.0;
-  cfg.chaos.load_storms = 5.0;
-  cfg.chaos.load_storm_mean_s = 8.0;
-  cfg.chaos.load_storm_factor = 6.0;
+  FleetConfig cfg = moving_ladder_config();
   cfg.deploy.enabled = true;
   cfg.deploy.stale_fallback = true;
 

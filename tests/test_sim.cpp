@@ -442,8 +442,8 @@ TEST(FleetPin, StandaloneLedgerArtifactsAreByteIdentical) {
             0x71d65e1de72eb0daULL);
 }
 
-// FNV-1a-64 over timeseries.json, journeys.jsonl and flightrec.json, in that
-// order, exactly as write_artifacts renders them.
+// FNV-1a-64, continued from `h`, over timeseries.json, journeys.jsonl and
+// flightrec.json, in that order, exactly as write_artifacts renders them.
 std::uint64_t artifact_digest(const obs::Observatory& obsy,
                               std::uint64_t h = kFnv64Basis) {
   std::ostringstream series, journeys, flight;
