@@ -76,8 +76,10 @@ SearchResult finalize(PartitionEvaluator& evaluator, SearchResult result, obs::S
   result.partitions_evaluated = evaluator.evaluations();
   result.block_grams_computed = evaluator.cache().block_grams_computed();
   result.best_weights = evaluator.weights_for(result.best);
-  obs::registry().counter("lattice.searches_run").add();
-  obs::registry().counter("lattice.cones_pruned").add(cones_pruned);
+  static obs::Counter& lattice_searches_run = obs::registry().counter("lattice.searches_run");
+  lattice_searches_run.add();
+  static obs::Counter& lattice_cones_pruned = obs::registry().counter("lattice.cones_pruned");
+  lattice_cones_pruned.add(cones_pruned);
   span.arg("partitions_evaluated", static_cast<std::uint64_t>(result.partitions_evaluated));
   span.arg("block_grams_computed", static_cast<std::uint64_t>(result.block_grams_computed));
   span.arg("cones_pruned", cones_pruned);

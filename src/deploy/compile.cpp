@@ -44,7 +44,8 @@ std::vector<FeatureSchema> schema_of(const data::Dataset& ds) {
 
 CompiledModel compile(const learners::DecisionTree& tree, const data::Dataset& train) {
   obs::Span span("deploy.compile", "deploy");
-  obs::registry().counter("deploy.compiles").add();
+  static obs::Counter& deploy_compiles = obs::registry().counter("deploy.compiles");
+  deploy_compiles.add();
 
   const std::vector<learners::ExportedTreeNode> exported = tree.export_nodes();
   IOTML_CHECK(tree.train_category_labels().size() == train.num_columns(),
@@ -88,7 +89,8 @@ CompiledModel compile(const learners::DecisionTree& tree, const data::Dataset& t
 
 CompiledModel compile(const learners::LogisticRegression& lr, const data::Dataset& train) {
   obs::Span span("deploy.compile", "deploy");
-  obs::registry().counter("deploy.compiles").add();
+  static obs::Counter& deploy_compiles = obs::registry().counter("deploy.compiles");
+  deploy_compiles.add();
 
   IOTML_CHECK(lr.fitted(), "deploy::compile(logistic): call fit() first");
   IOTML_CHECK(lr.weights().size() == train.num_columns(),
@@ -125,7 +127,8 @@ CompiledModel compile(const learners::LogisticRegression& lr, const data::Datase
 
 CompiledModel compile(const learners::NaiveBayes& nbc, const data::Dataset& train) {
   obs::Span span("deploy.compile", "deploy");
-  obs::registry().counter("deploy.compiles").add();
+  static obs::Counter& deploy_compiles = obs::registry().counter("deploy.compiles");
+  deploy_compiles.add();
 
   IOTML_CHECK(nbc.fitted(), "deploy::compile(naive-bayes): call fit() first");
   IOTML_CHECK(nbc.column_kinds().size() == train.num_columns(),
@@ -176,7 +179,8 @@ CompiledModel compile(const learners::NaiveBayes& nbc, const data::Dataset& trai
 CompiledModel compile(const kernels::KernelRidge& krr,
                       const std::vector<std::string>& feature_names) {
   obs::Span span("deploy.compile", "deploy");
-  obs::registry().counter("deploy.compiles").add();
+  static obs::Counter& deploy_compiles = obs::registry().counter("deploy.compiles");
+  deploy_compiles.add();
 
   IOTML_CHECK(krr.fitted(), "deploy::compile(krr): call fit() first");
   IOTML_CHECK(krr.kernel_fn().name() == "linear",

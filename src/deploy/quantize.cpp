@@ -37,7 +37,8 @@ Tensor quantize_tensor(const Tensor& t, Precision target) {
 
 CompiledModel quantize(const CompiledModel& model, Precision target) {
   obs::Span span("deploy.quantize", "deploy");
-  obs::registry().counter("deploy.quantizations").add();
+  static obs::Counter& deploy_quantizations = obs::registry().counter("deploy.quantizations");
+  deploy_quantizations.add();
 
   IOTML_CHECK(target == Precision::kInt16 || target == Precision::kInt8,
               "deploy::quantize: target must be int16 or int8");

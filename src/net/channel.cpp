@@ -47,7 +47,9 @@ ChannelOutcome Channel::send(double now_s, std::size_t bytes, Rng& rng) {
   if (params_.mode == ChannelMode::kAckRetry &&
       completion_s_.size() >= params_.queue_capacity) {
     ++stats_.dead_letters;
-    obs::registry().counter("net.channel.dead_letters").add();
+    static obs::Counter& net_channel_dead_letters =
+        obs::registry().counter("net.channel.dead_letters");
+    net_channel_dead_letters.add();
     return outcome;
   }
   outcome.accepted = true;
@@ -76,7 +78,9 @@ ChannelOutcome Channel::send(double now_s, std::size_t bytes, Rng& rng) {
   if (outcome.delivered) ++stats_.delivered;
   if (outcome.corrupted) {
     ++stats_.corrupt_rejected;
-    obs::registry().counter("net.channel.corrupt_rejected").add();
+    static obs::Counter& net_channel_corrupt_rejected =
+        obs::registry().counter("net.channel.corrupt_rejected");
+    net_channel_corrupt_rejected.add();
   }
   return outcome;
 }
@@ -87,7 +91,8 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     // The radio cannot even open the wire: an immediate timeout, so the
     // caller can store-and-forward instead of pretending the send happened.
     ++stats_.timeouts;
-    obs::registry().counter("net.channel.timeouts").add();
+    static obs::Counter& net_channel_timeouts = obs::registry().counter("net.channel.timeouts");
+    net_channel_timeouts.add();
     link_->record_drop();
     return outcome;
   }
@@ -100,7 +105,9 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
     if (attempt > 1) {
       ++stats_.retransmits;
       link_->record_retransmit();
-      obs::registry().counter("net.channel.retransmits").add();
+      static obs::Counter& net_channel_retransmits =
+          obs::registry().counter("net.channel.retransmits");
+      net_channel_retransmits.add();
     }
     const Attempt wire = link_->try_transmit(start_s, bytes, rng);
     bool acked = false;
@@ -122,18 +129,22 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
       if (!rng.bernoulli(lp.drop_prob)) {
         acked = true;
         ++stats_.acks;
-        obs::registry().counter("net.channel.acks").add();
+        static obs::Counter& net_channel_acks = obs::registry().counter("net.channel.acks");
+        net_channel_acks.add();
       }
     } else if (wire.delivered && wire.corrupted) {
       // Receiver recomputes the payload checksum, rejects the frame and
       // stays silent — the sender sees a timeout and retransmits, so ack
       // mode *repairs* corruption instead of merely detecting it.
       ++stats_.corrupt_rejected;
-      obs::registry().counter("net.channel.corrupt_rejected").add();
+      static obs::Counter& net_channel_corrupt_rejected =
+          obs::registry().counter("net.channel.corrupt_rejected");
+      net_channel_corrupt_rejected.add();
     }
     if (acked) break;
     ++stats_.timeouts;
-    obs::registry().counter("net.channel.timeouts").add();
+    static obs::Counter& net_channel_timeouts = obs::registry().counter("net.channel.timeouts");
+    net_channel_timeouts.add();
     if (attempt < params_.max_attempts) {
       // Capped exponential backoff with deterministic seeded jitter: retry k
       // waits min(base * 2^(k-1), cap) * (1 + uniform[0, jitter)).
@@ -146,7 +157,9 @@ ChannelOutcome Channel::send_ack_retry(double now_s, std::size_t bytes, Rng& rng
       }
       ++stats_.backoff_waits;
       stats_.backoff_wait_s += wait_s;
-      obs::registry().counter("net.channel.backoff_waits").add();
+      static obs::Counter& net_channel_backoff_waits =
+          obs::registry().counter("net.channel.backoff_waits");
+      net_channel_backoff_waits.add();
       start_s = wire.done_s + params_.ack_timeout_s + wait_s;
     }
   }

@@ -71,18 +71,18 @@ std::string TraceCollector::chrome_json() const {
   return out.str();
 }
 
-Span::Span(TraceCollector& collector, std::string name, std::string category) {
+Span::Span(TraceCollector& collector, std::string_view name, std::string_view category) {
   if (!collector.enabled()) return;
   collector_ = &collector;
-  event_.name = std::move(name);
-  event_.category = std::move(category);
+  event_.name = name;
+  event_.category = category;
   event_.tid = this_thread_id();
   event_.depth = t_span_depth++;
   event_.ts_us = now_us();  // read last so children start at or after parents
 }
 
-Span::Span(std::string name, std::string category)
-    : Span(trace(), std::move(name), std::move(category)) {}
+Span::Span(std::string_view name, std::string_view category)
+    : Span(trace(), name, category) {}
 
 Span::~Span() {
   if (collector_ == nullptr) return;
@@ -91,29 +91,24 @@ Span::~Span() {
   collector_->record(std::move(event_));
 }
 
-void Span::arg(const std::string& key, double value) {
+void Span::arg(std::string_view key, double value) {
   if (collector_ == nullptr) return;
-  event_.args.push_back({key, json_number(value), true});
+  event_.args.push_back({std::string(key), json_number(value), true});
 }
 
-void Span::arg(const std::string& key, std::int64_t value) {
+void Span::arg(std::string_view key, std::int64_t value) {
   if (collector_ == nullptr) return;
-  event_.args.push_back({key, std::to_string(value), true});
+  event_.args.push_back({std::string(key), std::to_string(value), true});
 }
 
-void Span::arg(const std::string& key, std::uint64_t value) {
+void Span::arg(std::string_view key, std::uint64_t value) {
   if (collector_ == nullptr) return;
-  event_.args.push_back({key, std::to_string(value), true});
+  event_.args.push_back({std::string(key), std::to_string(value), true});
 }
 
-void Span::arg(const std::string& key, const std::string& value) {
+void Span::arg(std::string_view key, std::string_view value) {
   if (collector_ == nullptr) return;
-  event_.args.push_back({key, value, false});
-}
-
-void Span::arg(const std::string& key, const char* value) {
-  if (collector_ == nullptr) return;
-  event_.args.push_back({key, std::string(value), false});
+  event_.args.push_back({std::string(key), std::string(value), false});
 }
 
 }  // namespace iotml::obs

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iotml::obs {
@@ -56,14 +57,17 @@ class TraceCollector {
 };
 
 /// RAII trace span. If the collector is disabled at construction the span is
-/// inert: no clock reads, no recording, arg() calls are dropped. Spans nest
-/// naturally with scope; nesting depth is tracked per thread.
+/// inert: no clock reads, no copies, no recording, arg() calls are dropped.
+/// Name and category are views that are copied only into an enabled span, so
+/// a hot path passes a literal or an interned name and pays one relaxed
+/// atomic load when tracing is off. Spans nest naturally with scope; nesting
+/// depth is tracked per thread.
 class Span {
  public:
-  Span(TraceCollector& collector, std::string name, std::string category = "iotml");
+  Span(TraceCollector& collector, std::string_view name, std::string_view category = "iotml");
 
   /// Convenience: span against the process-global collector (obs.hpp).
-  explicit Span(std::string name, std::string category = "iotml");
+  explicit Span(std::string_view name, std::string_view category = "iotml");
 
   ~Span();
   Span(const Span&) = delete;
@@ -71,11 +75,10 @@ class Span {
   Span(Span&&) = delete;
   Span& operator=(Span&&) = delete;
 
-  void arg(const std::string& key, double value);
-  void arg(const std::string& key, std::int64_t value);
-  void arg(const std::string& key, std::uint64_t value);
-  void arg(const std::string& key, const std::string& value);
-  void arg(const std::string& key, const char* value);
+  void arg(std::string_view key, double value);
+  void arg(std::string_view key, std::int64_t value);
+  void arg(std::string_view key, std::uint64_t value);
+  void arg(std::string_view key, std::string_view value);
 
   bool active() const noexcept { return collector_ != nullptr; }
 

@@ -38,7 +38,7 @@ std::size_t ChunkedPatch::total_wire_bytes() const noexcept {
 
 PatchApplier::Accept PatchApplier::accept(const ChunkFrame& frame) {
   if (frame.total == 0 || frame.index >= frame.total ||
-      frame.patch_size == 0) {
+      frame.patch_size == 0 || frame.patch_size > kMaxPatchBytes) {
     return Accept::kShapeMismatch;
   }
   if (started()) {
@@ -53,7 +53,8 @@ PatchApplier::Accept PatchApplier::accept(const ChunkFrame& frame) {
   // Every chunk except the last carries the sender's fixed chunk size and
   // the last carries the remainder; the sizes must sum to patch_size. The
   // fixed size is not on the wire — it is learned from the first accepted
-  // frame and cross-checked against every later one.
+  // frame and cross-checked against every later one. Each check below
+  // keeps every chunk at one byte or more, so total <= patch_size.
   const std::size_t total = frame.total;
   const std::size_t size = frame.patch_size;
   const std::size_t got = frame.payload.size();
@@ -91,12 +92,13 @@ PatchApplier::Accept PatchApplier::accept(const ChunkFrame& frame) {
     total_ = total;
     patch_size_ = size;
     have_.assign(total_, 0);
-    chunks_.assign(total_, {});
+    staged_.assign(patch_size_, 0);
   }
   if (have_[frame.index]) return Accept::kDuplicate;
   whole_ = whole;
   have_[frame.index] = 1;
-  chunks_[frame.index] = frame.payload;
+  std::copy(frame.payload.begin(), frame.payload.end(),
+            staged_.begin() + static_cast<std::ptrdiff_t>(frame.index * whole_));
   ++verified_;
   return Accept::kAccepted;
 }
@@ -108,7 +110,7 @@ void PatchApplier::reset() {
   whole_ = 0;
   verified_ = 0;
   have_.clear();
-  chunks_.clear();
+  staged_.clear();
 }
 
 std::vector<std::size_t> PatchApplier::missing() const {
@@ -121,12 +123,7 @@ std::vector<std::size_t> PatchApplier::missing() const {
 
 std::vector<std::uint8_t> PatchApplier::assemble() const {
   IOTML_CHECK(complete(), "PatchApplier::assemble: transfer incomplete");
-  std::vector<std::uint8_t> out;
-  out.reserve(patch_size_);
-  for (const auto& c : chunks_) out.insert(out.end(), c.begin(), c.end());
-  IOTML_INTERNAL_CHECK(out.size() == patch_size_,
-                       "PatchApplier::assemble: reassembled size mismatch");
-  return out;
+  return staged_;
 }
 
 }  // namespace iotml::ota

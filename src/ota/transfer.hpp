@@ -20,6 +20,14 @@ namespace iotml::ota {
 /// patch size + payload checksum, each u32.
 inline constexpr std::size_t kChunkFramingBytes = 20;
 
+/// Largest patch a receiver stages. A frame claiming more is rejected
+/// before anything is allocated, so a frame's u32 `patch_size` cannot make
+/// the receiver commit gigabytes. Compiled-model patches are hundreds of
+/// bytes to a few KB. Staging holds `patch_size` bytes plus one flag per
+/// chunk, and every chunk carries at least one byte, so a transfer never
+/// stages more than twice this.
+inline constexpr std::size_t kMaxPatchBytes = std::size_t{1} << 20;
+
 /// One chunk frame. `payload` is patch bytes [index*chunk, ...); `checksum`
 /// is FNV-1a32 over the payload, verified by the applier before the chunk
 /// is accepted.
@@ -67,8 +75,10 @@ class ChunkedPatch {
 
 /// Receiver-side resumable reassembly. Chunks arrive in any order, possibly
 /// duplicated, possibly corrupt; the applier verifies each frame's checksum
-/// and consistency with the announced transfer shape before accepting it.
-/// `missing()` drives resume rounds; `complete()` gates the commit.
+/// and consistency with the announced transfer shape (at most
+/// kMaxPatchBytes) before accepting it, and stages its payload in place in
+/// one patch-sized buffer. `missing()` drives resume rounds; `complete()`
+/// gates the commit.
 class PatchApplier {
  public:
   PatchApplier() = default;
@@ -82,6 +92,7 @@ class PatchApplier {
 
   /// Feed one chunk frame. The first accepted frame fixes the transfer
   /// shape (version id, chunk count, patch size); later frames must agree.
+  /// A frame claiming a patch over kMaxPatchBytes is a shape mismatch.
   Accept accept(const ChunkFrame& frame);
 
   /// Drop all staged state (a canceled or superseded transfer). The
@@ -107,8 +118,8 @@ class PatchApplier {
   std::size_t patch_size_ = 0;
   std::size_t whole_ = 0;  ///< sender's fixed chunk size, learned from frames
   std::size_t verified_ = 0;
-  std::vector<std::uint8_t> have_;           ///< per-chunk verified flag
-  std::vector<std::vector<std::uint8_t>> chunks_;
+  std::vector<std::uint8_t> have_;    ///< per-chunk verified flag
+  std::vector<std::uint8_t> staged_;  ///< patch bytes; chunk i at i * whole_
 };
 
 }  // namespace iotml::ota

@@ -46,6 +46,7 @@ StageReport LambdaStage::apply(data::Dataset& ds, Rng& rng) {
 
 Pipeline& Pipeline::add(std::unique_ptr<Stage> stage) {
   IOTML_CHECK(stage != nullptr, "Pipeline::add: null stage");
+  span_names_.push_back("stage:" + stage->name());
   stages_.push_back(std::move(stage));
   return *this;
 }
@@ -59,10 +60,10 @@ Pipeline& Pipeline::add(std::string name, LambdaStage::Fn fn, std::string player
 data::Dataset Pipeline::run(data::Dataset input, Rng& rng) {
   reports_.clear();
   obs::Span run_span("pipeline.run", "pipeline");
-  for (const auto& stage : stages_) {
-    obs::Span span("stage:" + stage->name(), "pipeline");
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    obs::Span span(span_names_[i], "pipeline");
     const std::int64_t start_us = obs::now_us();
-    StageReport report = stage->apply(input, rng);
+    StageReport report = stages_[i]->apply(input, rng);
     // Concrete iotml stages self-measure their body; keep that tighter
     // reading and only fall back to the around-the-call measurement for
     // third-party stages that left the field 0.
@@ -70,26 +71,33 @@ data::Dataset Pipeline::run(data::Dataset input, Rng& rng) {
       // det-sanctioned: wall_time_us feeds obs spans only; deterministic artifacts omit it
       report.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
     }
-    span.arg("player", report.player);
-    span.arg("tier", tier_name(report.tier));
-    span.arg("rows_in", static_cast<std::uint64_t>(report.rows_in));
-    span.arg("rows_out", static_cast<std::uint64_t>(report.rows_out));
-    span.arg("columns_out", static_cast<std::uint64_t>(report.columns_out));
-    span.arg("missing_rate_in", report.missing_rate_in);
-    span.arg("missing_rate_out", report.missing_rate_out);
-    span.arg("cost", report.cost);
-    obs::registry().counter("pipeline.stages_run").add();
-    obs::registry().histogram("pipeline.stage_wall_us").record(
-        static_cast<double>(report.wall_time_us));
+    if (span.active()) {
+      span.arg("player", report.player);
+      span.arg("tier", tier_name(report.tier));
+      span.arg("rows_in", static_cast<std::uint64_t>(report.rows_in));
+      span.arg("rows_out", static_cast<std::uint64_t>(report.rows_out));
+      span.arg("columns_out", static_cast<std::uint64_t>(report.columns_out));
+      span.arg("missing_rate_in", report.missing_rate_in);
+      span.arg("missing_rate_out", report.missing_rate_out);
+      span.arg("cost", report.cost);
+    }
+    static obs::Counter& pipeline_stages_run = obs::registry().counter("pipeline.stages_run");
+    pipeline_stages_run.add();
+    static obs::Histogram& pipeline_stage_wall_us =
+        obs::registry().histogram("pipeline.stage_wall_us");
+    pipeline_stage_wall_us.record(static_cast<double>(report.wall_time_us));
     reports_.push_back(std::move(report));
   }
-  run_span.arg("stages", static_cast<std::uint64_t>(stages_.size()));
-  run_span.arg("total_cost", total_cost());
+  if (run_span.active()) {
+    run_span.arg("stages", static_cast<std::uint64_t>(stages_.size()));
+    run_span.arg("total_cost", total_cost());
+  }
   return input;
 }
 
 std::vector<std::unique_ptr<Stage>> Pipeline::take_stages() {
   reports_.clear();
+  span_names_.clear();
   std::vector<std::unique_ptr<Stage>> out = std::move(stages_);
   stages_.clear();
   return out;

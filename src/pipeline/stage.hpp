@@ -108,6 +108,9 @@ class Pipeline {
 
  private:
   std::vector<std::unique_ptr<Stage>> stages_;
+  /// "stage:" + name() of each stage, built once in add(): the span name
+  /// Pipeline::run opens around the stage.
+  std::vector<std::string> span_names_;
   std::vector<StageReport> reports_;
 };
 

@@ -101,10 +101,13 @@ void DeployPhase::handle_broadcast(const Event& event) {
   if (!fleet_.topo.node(core).up) {
     // The core is down at broadcast time: no fresh artifact leaves it, and
     // the whole fleet serves the prior epoch's model (stale fallback).
-    obs::registry().counter("deploy.broadcasts_skipped").add();
+    static obs::Counter& deploy_broadcasts_skipped =
+        obs::registry().counter("deploy.broadcasts_skipped");
+    deploy_broadcasts_skipped.add();
     return;
   }
-  obs::registry().counter("deploy.broadcasts").add();
+  static obs::Counter& deploy_broadcasts = obs::registry().counter("deploy.broadcasts");
+  deploy_broadcasts.add();
   // The broadcast's root trace id: every downlink frame of this epoch lists
   // it as parent, so fleetscope can reconstruct the artifact's journey.
   broadcast_trace_ = fleet_.next_trace();
@@ -119,15 +122,19 @@ void DeployPhase::handle_broadcast(const Event& event) {
 void DeployPhase::send_artifact(net::NodeId to, double now_s) {
   // The sender's radio spends the bytes whether or not the wire delivers.
   summary_.downlink_bytes += artifact_wire_bytes_;
-  obs::registry().counter("deploy.artifact_sends").add();
-  obs::registry().counter("deploy.downlink_bytes").add(artifact_wire_bytes_);
+  static obs::Counter& deploy_artifact_sends = obs::registry().counter("deploy.artifact_sends");
+  deploy_artifact_sends.add();
+  static obs::Counter& deploy_downlink_bytes = obs::registry().counter("deploy.downlink_bytes");
+  deploy_downlink_bytes.add(artifact_wire_bytes_);
   obs::HopRecord frame{.stream = obs::HopStream::kArtifact, .src = fleet_.topo.next_hop(to),
                        .dst = to, .bytes = artifact_wire_bytes_,
                        .parents = {broadcast_trace_}};
   if (fleet_.send_hop(frame, EventKind::kArtifactArrival, kNoMessage, now_s).corrupted) {
     // The artifact frame fails its checksum at the receiver, which keeps
     // its prior model rather than binding corrupt parameters.
-    obs::registry().counter("deploy.artifact_corrupt_rejected").add();
+    static obs::Counter& deploy_artifact_corrupt_rejected =
+        obs::registry().counter("deploy.artifact_corrupt_rejected");
+    deploy_artifact_corrupt_rejected.add();
   }
 }
 
@@ -135,7 +142,9 @@ void DeployPhase::handle_artifact_arrival(const Event& event) {
   const net::NodeId node = event.target;
   const bool up = fleet_.topo.node(node).up;
   if (event.duplicate) {
-    obs::registry().counter("deploy.duplicates_discarded").add();
+    static obs::Counter& deploy_duplicates_discarded =
+        obs::registry().counter("deploy.duplicates_discarded");
+    deploy_duplicates_discarded.add();
     fleet_.journey_arrive(event, obs::HopStream::kArtifact, broadcast_trace_, 0, "duplicate");
     return;
   }
@@ -162,11 +171,15 @@ void DeployPhase::score_on_device(net::NodeId device, double now_s, bool stale) 
   deploy::DeviceRuntime& runtime = *slot;
   if (stale) {
     ++d.devices_stale;
-    obs::registry().counter("sim.recovery.stale_model_serves").add();
+    static obs::Counter& sim_recovery_stale_model_serves =
+        obs::registry().counter("sim.recovery.stale_model_serves");
+    sim_recovery_stale_model_serves.add();
   } else {
     ++d.devices_deployed;
     device_scored_[device] = 1;
-    obs::registry().counter("deploy.devices_deployed").add();
+    static obs::Counter& deploy_devices_deployed =
+        obs::registry().counter("deploy.devices_deployed");
+    deploy_devices_deployed.add();
   }
 
   data::Dataset rows = fleet_.scoring_window(device);
@@ -181,10 +194,13 @@ void DeployPhase::score_on_device(net::NodeId device, double now_s, bool stale) 
   }
   if (stale) {
     d.rows_scored_stale += count;
-    obs::registry().counter("sim.recovery.rows_scored_stale").add(count);
+    static obs::Counter& sim_recovery_rows_scored_stale =
+        obs::registry().counter("sim.recovery.rows_scored_stale");
+    sim_recovery_rows_scored_stale.add(count);
   } else {
     d.rows_scored += count;
-    obs::registry().counter("deploy.rows_scored").add(count);
+    static obs::Counter& deploy_rows_scored = obs::registry().counter("deploy.rows_scored");
+    deploy_rows_scored.add(count);
   }
 
   // Counterfactual: what uplinking these raw rows (the pre-deployment
@@ -211,14 +227,17 @@ void DeployPhase::score_on_device(net::NodeId device, double now_s, bool stale) 
 void DeployPhase::send_predictions(net::NodeId from, std::size_t batch, double now_s) {
   const PredBatch& b = pred_batches_[batch];
   summary_.uplink_prediction_bytes += b.wire_bytes;
-  obs::registry().counter("deploy.prediction_bytes").add(b.wire_bytes);
+  static obs::Counter& deploy_prediction_bytes = obs::registry().counter("deploy.prediction_bytes");
+  deploy_prediction_bytes.add(b.wire_bytes);
   obs::HopRecord frame{.stream = obs::HopStream::kPredictions, .src = from,
                        .dst = fleet_.topo.next_hop(from), .rows = b.rows,
                        .bytes = b.wire_bytes, .parents = {b.trace}};
   if (fleet_.send_hop(frame, EventKind::kPredictionArrival, batch, now_s).corrupted) {
     // A corrupt prediction batch is rejected at the receiver; predictions
     // are best-effort telemetry and are not retried in fire-and-forget mode.
-    obs::registry().counter("deploy.prediction_corrupt_rejected").add();
+    static obs::Counter& deploy_prediction_corrupt_rejected =
+        obs::registry().counter("deploy.prediction_corrupt_rejected");
+    deploy_prediction_corrupt_rejected.add();
   }
 }
 
@@ -226,7 +245,9 @@ void DeployPhase::handle_prediction_arrival(const Event& event) {
   const net::NodeId node = event.target;
   const PredBatch& batch = pred_batches_[event.message];
   if (event.duplicate) {
-    obs::registry().counter("deploy.duplicates_discarded").add();
+    static obs::Counter& deploy_duplicates_discarded =
+        obs::registry().counter("deploy.duplicates_discarded");
+    deploy_duplicates_discarded.add();
     fleet_.journey_arrive(event, obs::HopStream::kPredictions, batch.trace, batch.rows,
                           "duplicate");
     return;
@@ -234,7 +255,9 @@ void DeployPhase::handle_prediction_arrival(const Event& event) {
   if (node == fleet_.topo.core()) {
     summary_.predictions_delivered += batch.rows;
     summary_.predictions_correct += batch.correct;
-    obs::registry().counter("deploy.predictions_delivered").add(batch.rows);
+    static obs::Counter& deploy_predictions_delivered =
+        obs::registry().counter("deploy.predictions_delivered");
+    deploy_predictions_delivered.add(batch.rows);
     fleet_.journey_arrive(event, obs::HopStream::kPredictions, batch.trace, batch.rows,
                           "accepted");
     fleet_.obsy.note(node, event.time_s, "rx-predictions", batch.rows);

@@ -196,6 +196,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   // One transport per link. The topology is final here (downlinks included),
   // so the Link references the channels capture stay stable.
   channels_.reserve(topo_.num_links());
+  link_bytes_.assign(topo_.num_links(), nullptr);
   core_link_.assign(topo_.num_links(), 0);
   base_drop_prob_.reserve(topo_.num_links());
   base_corrupt_prob_.reserve(topo_.num_links());
@@ -466,12 +467,13 @@ FleetReport FleetSim::run() {
 }
 
 void FleetSim::handle(const Event& event) {
-  obs::Span span("sim.event:" + event_kind_name(event.kind), "sim");
+  obs::Span span(event_span_name(event.kind), "sim");
   if (span.active()) {
     span.arg("t_s", event.time_s);
     span.arg("target", static_cast<std::uint64_t>(event.target));
   }
-  obs::registry().counter("sim.events").add();
+  static obs::Counter& sim_events = obs::registry().counter("sim.events");
+  sim_events.add();
   switch (event.kind) {
     case EventKind::kDeviceFlush:
       handle_device_flush(event);
@@ -485,7 +487,8 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kLinkDown:
       topo_.link(event.target).set_up(false);
-      obs::registry().counter("sim.faults.link_down").add();
+      static obs::Counter& sim_faults_link_down = obs::registry().counter("sim.faults.link_down");
+      sim_faults_link_down.add();
       break;
     case EventKind::kLinkUp:
       // A partition owns the edge<->core links while active; an overlapping
@@ -496,7 +499,9 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kDeviceDown:
       topo_.node(event.target).up = false;
-      obs::registry().counter("sim.faults.device_down").add();
+      static obs::Counter& sim_faults_device_down =
+          obs::registry().counter("sim.faults.device_down");
+      sim_faults_device_down.add();
       break;
     case EventKind::kDeviceUp:
       topo_.node(event.target).up = true;
@@ -521,7 +526,9 @@ void FleetSim::handle(const Event& event) {
       if (topo_.node(topo_.core()).up) {
         topo_.node(topo_.core()).up = false;
         ++report_.faults.core_crashes;
-        obs::registry().counter("sim.faults.core_crash").add();
+        static obs::Counter& sim_faults_core_crash =
+            obs::registry().counter("sim.faults.core_crash");
+        sim_faults_core_crash.add();
         flight_dump(topo_.core(), "core-crash", event.time_s);
       }
       break;
@@ -685,7 +692,9 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
     // unreachable and holds the batch for the next flush instead of burning
     // retransmits into a dead wire. Fire-and-forget edges cannot know and
     // transmit anyway (the frame dies at the dead receiver).
-    obs::registry().counter("sim.recovery.edge_holds").add();
+    static obs::Counter& sim_recovery_edge_holds =
+        obs::registry().counter("sim.recovery.edge_holds");
+    sim_recovery_edge_holds.add();
     return;
   }
 
@@ -811,7 +820,9 @@ int FleetSim::degrade_update(std::size_t edge_index, double now_s,
     } else {
       ++d.transitions_down;
     }
-    obs::registry().counter("sim.degrade.transitions").add();
+    static obs::Counter& sim_degrade_transitions =
+        obs::registry().counter("sim.degrade.transitions");
+    sim_degrade_transitions.add();
     const net::NodeId e = topo_.edge(edge_index);
     obsy_.note(e, now_s, "degrade-level", static_cast<std::size_t>(before),
                static_cast<std::size_t>(after));
@@ -1057,7 +1068,8 @@ void FleetSim::set_load_storm(bool on, double now_s) {
   if (!on) return;
   ++report_.faults.load_storms;
   ++storm_epoch_;
-  obs::registry().counter("sim.chaos.load_storms").add();
+  static obs::Counter& sim_chaos_load_storms = obs::registry().counter("sim.chaos.load_storms");
+  sim_chaos_load_storms.add();
   // Compress every device's flush schedule: one storm-paced extra flush
   // chain per device. The chain carries the storm epoch, so flushes queued
   // by an already-ended storm die instead of reviving under a newer one.
@@ -1134,9 +1146,16 @@ void FleetSim::finalize_degradation() {
   }
 }
 
+obs::Counter& FleetSim::link_bytes(std::size_t link) {
+  obs::Counter*& slot = link_bytes_[link];
+  if (slot == nullptr) {
+    slot = &obs::registry().counter("net.link." + topo_.link(link).name() + ".bytes");
+  }
+  return *slot;
+}
+
 void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   const std::size_t link_index = topo_.uplink_index(from);
-  net::Link& link = topo_.link(link_index);
   const net::NodeId to = topo_.next_hop(from);
   const std::size_t rows = chunk.row_count;
   const bool from_device = from < config_.devices;
@@ -1252,13 +1271,16 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
         channels_[link_index].stats().retransmits - tdf_pre_retrans;
   }
   ++report_.messages_sent;
-  obs::registry().counter("sim.net.messages").add();
-  obs::registry().counter("sim.net.bytes").add(bytes);
-  obs::registry().counter("net.link." + link.name() + ".bytes").add(bytes);
+  static obs::Counter& sim_net_messages = obs::registry().counter("sim.net.messages");
+  sim_net_messages.add();
+  static obs::Counter& sim_net_bytes = obs::registry().counter("sim.net.bytes");
+  sim_net_bytes.add(bytes);
+  link_bytes(link_index).add(bytes);
   if (!out.accepted) {
     // Backpressure: the bounded send queue refused the message.
     ++report_.messages_dropped;
-    obs::registry().counter("sim.net.dropped").add();
+    static obs::Counter& sim_net_dropped = obs::registry().counter("sim.net.dropped");
+    sim_net_dropped.add();
     flight_dump(from, "dead-letter", now_s);
     if (degrade_on()) {
       ++degrade_dead_letters_[(from_device ? to : from) - config_.devices];
@@ -1284,7 +1306,8 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   }
   if (!out.delivered && !out.corrupted) {
     ++report_.messages_dropped;
-    obs::registry().counter("sim.net.dropped").add();
+    static obs::Counter& sim_net_dropped = obs::registry().counter("sim.net.dropped");
+    sim_net_dropped.add();
     if (ack) {
       keep_rows(false);
     } else {
@@ -1320,7 +1343,7 @@ net::ChannelOutcome FleetSim::transmit(obs::HopRecord& frame, EventKind arrival,
   frame.hop = frame.src >= config_.devices && frame.src != topo_.core() ? 1 : 0;
   frame.t0_s = now_s;
   frame.t1_s = out.delivered || out.corrupted ? out.arrival_s : 0.0;
-  frame.attempts = out.attempts;
+  frame.attempts = static_cast<std::uint32_t>(out.attempts);
   frame.outcome = !out.accepted   ? "dead_letter"
                   : out.corrupted ? "corrupt"
                   : !out.delivered ? (ack ? "timeout" : "dropped")
@@ -1343,7 +1366,9 @@ void FleetSim::handle_arrival(const Event& event) {
   const net::Message& msg = messages_[event.message];
   if (event.duplicate) {
     ++report_.duplicates_discarded;
-    obs::registry().counter("sim.net.duplicates_discarded").add();
+    static obs::Counter& sim_net_duplicates_discarded =
+        obs::registry().counter("sim.net.duplicates_discarded");
+    sim_net_duplicates_discarded.add();
     journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
                    "duplicate");
     return;
@@ -1361,7 +1386,9 @@ void FleetSim::handle_arrival(const Event& event) {
       ++report_.telemetry.frames_rejected;
     }
     report_.faults.rows_corrupt_rejected += msg.payload.rows();
-    obs::registry().counter("sim.net.rows_corrupt_rejected").add(msg.payload.rows());
+    static obs::Counter& sim_net_rows_corrupt_rejected =
+        obs::registry().counter("sim.net.rows_corrupt_rejected");
+    sim_net_rows_corrupt_rejected.add(msg.payload.rows());
     journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
                    "corrupt_rejected");
     obsy_.note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
@@ -1375,7 +1402,9 @@ void FleetSim::handle_arrival(const Event& event) {
     // The receiver crashed while the frame was in flight: nobody is
     // listening, and the rows die with the dead node.
     report_.faults.rows_lost_to_crash += msg.payload.rows();
-    obs::registry().counter("sim.faults.rows_lost_to_crash").add(msg.payload.rows());
+    static obs::Counter& sim_faults_rows_lost_to_crash =
+        obs::registry().counter("sim.faults.rows_lost_to_crash");
+    sim_faults_rows_lost_to_crash.add(msg.payload.rows());
     journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
                    "dead_receiver");
     return;
@@ -1428,7 +1457,9 @@ void FleetSim::handle_checkpoint(std::size_t edge_index) {
   const Buffer& buf = edge_buffers_[edge_index];
   edge_checkpoints_[edge_index] = buf;
   ++report_.faults.checkpoints_written;
-  obs::registry().counter("sim.recovery.checkpoints_written").add();
+  static obs::Counter& sim_recovery_checkpoints_written =
+      obs::registry().counter("sim.recovery.checkpoints_written");
+  sim_recovery_checkpoints_written.add();
   obsy_.note(topo_.edge(edge_index), sched_.now_s(), "checkpoint", buf.row_count);
 }
 
@@ -1437,7 +1468,8 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   if (!n.up) return;  // already down (overlapping crash windows)
   n.up = false;
   ++report_.faults.edge_crashes;
-  obs::registry().counter("sim.faults.edge_crash").add();
+  static obs::Counter& sim_faults_edge_crash = obs::registry().counter("sim.faults.edge_crash");
+  sim_faults_edge_crash.add();
   // The black box survives the crash: dump the edge's recent events into
   // the fault ledger before its volatile state is wiped.
   flight_dump(topo_.edge(edge_index), "edge-crash", sched_.now_s());
@@ -1447,7 +1479,9 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   const std::size_t persisted =
       std::min(edge_checkpoints_[edge_index].row_count, buf.row_count);
   report_.faults.rows_lost_to_crash += buf.row_count - persisted;
-  obs::registry().counter("sim.faults.rows_lost_to_crash").add(buf.row_count - persisted);
+  static obs::Counter& sim_faults_rows_lost_to_crash =
+      obs::registry().counter("sim.faults.rows_lost_to_crash");
+  sim_faults_rows_lost_to_crash.add(buf.row_count - persisted);
   buf = Buffer{};
 }
 
@@ -1463,8 +1497,12 @@ void FleetSim::handle_edge_restart(std::size_t edge_index) {
   buf = ckpt;
   ++report_.faults.checkpoints_restored;
   report_.faults.rows_recovered += ckpt.row_count;
-  obs::registry().counter("sim.recovery.checkpoints_restored").add();
-  obs::registry().counter("sim.recovery.rows_recovered").add(ckpt.row_count);
+  static obs::Counter& sim_recovery_checkpoints_restored =
+      obs::registry().counter("sim.recovery.checkpoints_restored");
+  sim_recovery_checkpoints_restored.add();
+  static obs::Counter& sim_recovery_rows_recovered =
+      obs::registry().counter("sim.recovery.rows_recovered");
+  sim_recovery_rows_recovered.add(ckpt.row_count);
 }
 
 void FleetSim::set_partition(bool on) {
@@ -1472,7 +1510,8 @@ void FleetSim::set_partition(bool on) {
   partitioned_ = on;
   if (on) {
     ++report_.faults.partitions;
-    obs::registry().counter("sim.chaos.partitions").add();
+    static obs::Counter& sim_chaos_partitions = obs::registry().counter("sim.chaos.partitions");
+    sim_chaos_partitions.add();
     // The core just lost its edges: its recent traffic is the context an
     // operator wants first.
     flight_dump(topo_.core(), "partition", sched_.now_s());
@@ -1488,7 +1527,8 @@ void FleetSim::set_partition(bool on) {
 void FleetSim::set_loss_burst(bool on) {
   if (on) {
     ++report_.faults.loss_bursts;
-    obs::registry().counter("sim.chaos.loss_bursts").add();
+    static obs::Counter& sim_chaos_loss_bursts = obs::registry().counter("sim.chaos.loss_bursts");
+    sim_chaos_loss_bursts.add();
   }
   // The burst hits the device radio tier: every link that is not an
   // edge<->core trunk (device uplinks, and edge->device downlinks if the
@@ -1504,7 +1544,9 @@ void FleetSim::set_loss_burst(bool on) {
 void FleetSim::set_corruption_storm(bool on) {
   if (on) {
     ++report_.faults.corruption_storms;
-    obs::registry().counter("sim.chaos.corruption_storms").add();
+    static obs::Counter& sim_chaos_corruption_storms =
+        obs::registry().counter("sim.chaos.corruption_storms");
+    sim_chaos_corruption_storms.add();
   }
   for (std::size_t l = 0; l < topo_.num_links(); ++l) {
     if (core_link_[l] == 0) {
@@ -1523,7 +1565,9 @@ void FleetSim::store_and_forward(net::NodeId device, Buffer&& chunk) {
   // remains, then rows off the front of the survivor if it alone overflows.
   while (total > cap && q.size() > 1) {
     report_.faults.rows_buffer_evicted += q.front().row_count;
-    obs::registry().counter("sim.recovery.rows_evicted").add(q.front().row_count);
+    static obs::Counter& sim_recovery_rows_evicted =
+        obs::registry().counter("sim.recovery.rows_evicted");
+    sim_recovery_rows_evicted.add(q.front().row_count);
     total -= q.front().row_count;
     q.pop_front();
   }
@@ -1535,7 +1579,9 @@ void FleetSim::store_and_forward(net::NodeId device, Buffer&& chunk) {
     b.rows = b.rows.select_rows(keep);
     b.row_count -= drop;
     report_.faults.rows_buffer_evicted += drop;
-    obs::registry().counter("sim.recovery.rows_evicted").add(drop);
+    static obs::Counter& sim_recovery_rows_evicted =
+        obs::registry().counter("sim.recovery.rows_evicted");
+    sim_recovery_rows_evicted.add(drop);
   }
 }
 
@@ -1585,7 +1631,9 @@ void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
     ++t.log_frames_evicted;
     t.log_rows_evicted += rows_evicted;
     report_.faults.rows_buffer_evicted += rows_evicted;
-    obs::registry().counter("sim.recovery.rows_evicted").add(rows_evicted);
+    static obs::Counter& sim_recovery_rows_evicted =
+        obs::registry().counter("sim.recovery.rows_evicted");
+    sim_recovery_rows_evicted.add(rows_evicted);
     q.pop_front();
   };
   // Byte bound: the ring evicts whole oldest frames until the new one fits.

@@ -15,6 +15,7 @@
 #include "data/dataset.hpp"
 #include "deploy/compiled_model.hpp"
 #include "net/channel.hpp"
+#include "obs/metrics.hpp"
 #include "obs/observatory.hpp"
 #include "net/faults.hpp"
 #include "net/message.hpp"
@@ -287,9 +288,9 @@ class FleetSim {
   /// a second call (build a fresh FleetSim to re-run).
   FleetReport run();
 
-  /// One line per processed event (see Scheduler::log); byte-identical
-  /// across runs with the same config and pipeline.
-  const std::vector<std::string>& event_log() const noexcept { return sched_.log(); }
+  /// One line per processed event (see Scheduler::log), rendered on each
+  /// call; byte-identical across runs with the same config and pipeline.
+  std::vector<std::string> event_log() const { return sched_.log(); }
 
   const net::Topology& topology() const noexcept { return topo_; }
 
@@ -347,6 +348,8 @@ class FleetSim {
   /// reader of duplicate_arrival_s (lint rule R8).
   void schedule_arrival(const net::ChannelOutcome& out, EventKind kind, net::NodeId node,
                         std::size_t message);
+  /// Link `link`'s cached bytes counter (see link_bytes_).
+  obs::Counter& link_bytes(std::size_t link);
   void finalize();
   int truth_label(double time_s) const;
   /// The core's rows so far, time-ordered and labeled with the analytics
@@ -432,6 +435,9 @@ class FleetSim {
   /// One transport per link, same index space; every simulator send goes
   /// through these (lint rule R8 bans direct Link transmits outside net/).
   std::vector<net::Channel> channels_;
+  /// The "net.link.<name>.bytes" counter of each link, same index space,
+  /// looked up on the link's first send and cached (lint rule R10).
+  std::vector<obs::Counter*> link_bytes_;
 
   std::vector<pipeline::Signal> truths_;      ///< per measured quantity
   std::vector<data::Dataset> device_data_;    ///< pre-integrated full window

@@ -233,8 +233,10 @@ void OtaLoop::send_chunk_hop(net::NodeId to, std::size_t record, double now_s) {
   // The radio spends the bytes whether or not the wire delivers; the
   // per-epoch ledger counts every hop transmission.
   ota.epochs_log[ro.entry].delta_downlink_bytes += bytes;
-  obs::registry().counter("ota.chunk_sends").add();
-  obs::registry().counter("ota.downlink_bytes").add(bytes);
+  static obs::Counter& ota_chunk_sends = obs::registry().counter("ota.chunk_sends");
+  ota_chunk_sends.add();
+  static obs::Counter& ota_downlink_bytes = obs::registry().counter("ota.downlink_bytes");
+  ota_downlink_bytes.add(bytes);
 
   obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = fleet_.topo.next_hop(to),
                        .dst = to, .bytes = bytes, .parents = {ro.trace}};
@@ -242,7 +244,9 @@ void OtaLoop::send_chunk_hop(net::NodeId to, std::size_t record, double now_s) {
     // The chunk fails its FNV check at the receiver and is discarded; the
     // resume round re-requests it.
     ++ota.chunks_corrupt_rejected;
-    obs::registry().counter("ota.chunk_corrupt_rejected").add();
+    static obs::Counter& ota_chunk_corrupt_rejected =
+        obs::registry().counter("ota.chunk_corrupt_rejected");
+    ota_chunk_corrupt_rejected.add();
   }
 }
 
@@ -322,7 +326,8 @@ void OtaLoop::commit_device(std::size_t transfer_index, double now_s) {
   store.commit(ro.version_id, std::move(image), patch.target_checksum);
   ++ota.epochs_log[ro.entry].devices_updated;
   ota.last_commit_t_s = std::max(ota.last_commit_t_s, now_s);
-  obs::registry().counter("ota.commits").add();
+  static obs::Counter& ota_commits = obs::registry().counter("ota.commits");
+  ota_commits.add();
   fleet_.obsy.note(fleet_.topo.device(t.device), now_s, "ota-commit", ro.version_id,
                    t.full ? 1 : 0);
 }
@@ -352,7 +357,8 @@ void OtaLoop::send_report_hop(net::NodeId from, std::size_t record, double now_s
   // Version id + device + rows + two correct counts, each u32, framed.
   const std::size_t bytes = net::kMessageHeaderBytes + 20;
   summary_.probe_uplink_bytes += bytes;
-  obs::registry().counter("ota.probe_uplink_bytes").add(bytes);
+  static obs::Counter& ota_probe_uplink_bytes = obs::registry().counter("ota.probe_uplink_bytes");
+  ota_probe_uplink_bytes.add(bytes);
   // A lost probe is tolerated, not retried: the verdict pools whatever
   // reports made it.
   obs::HopRecord frame{.stream = obs::HopStream::kPatch, .src = from,
@@ -410,7 +416,8 @@ void OtaLoop::handle_resume(const Event& event) {
   if (t.resume_rounds < config_.ota.max_resume_rounds) {
     ++t.resume_rounds;
     ++ota.resume_rounds;
-    obs::registry().counter("ota.resume_rounds").add();
+    static obs::Counter& ota_resume_rounds = obs::registry().counter("ota.resume_rounds");
+    ota_resume_rounds.add();
     send_chunks(idx, want, event.time_s);
   } else if (!t.full) {
     // Delta rounds exhausted: fall back to the full image. The applier
@@ -421,7 +428,8 @@ void OtaLoop::handle_resume(const Event& event) {
     t.resume_rounds = 0;
     t.applier.reset();
     ++entry.full_fallbacks;
-    obs::registry().counter("ota.full_fallbacks").add();
+    static obs::Counter& ota_full_fallbacks = obs::registry().counter("ota.full_fallbacks");
+    ota_full_fallbacks.add();
     std::vector<std::size_t> all(ro.full.num_chunks());
     std::iota(all.begin(), all.end(), std::size_t{0});
     send_chunks(idx, all, event.time_s);
@@ -438,7 +446,8 @@ void OtaLoop::handle_resume(const Event& event) {
     t.stuck = true;
     t.done = true;
     ++entry.devices_stuck;
-    obs::registry().counter("ota.devices_stuck").add();
+    static obs::Counter& ota_devices_stuck = obs::registry().counter("ota.devices_stuck");
+    ota_devices_stuck.add();
     fleet_.obsy.note(fleet_.topo.device(t.device), event.time_s, "ota-stuck", ro.version_id);
     return;
   }
@@ -489,7 +498,8 @@ void OtaLoop::handle_verdict(const Event& event) {
                                                   : ro.full.patch_bytes().size(),
                                      "ota patch bytes"));
     head_image_ = ro.image;
-    obs::registry().counter("ota.promotions").add();
+    static obs::Counter& ota_promotions = obs::registry().counter("ota.promotions");
+    ota_promotions.add();
     fleet_.obsy.note(fleet_.topo.core(), event.time_s, "ota-promote", ro.version_id,
                      verdict.pooled_rows);
     // Ship to the rest of the fleet; canaries mid-transfer keep going.
@@ -506,7 +516,8 @@ void OtaLoop::handle_verdict(const Event& event) {
 
   entry.outcome = "rollback";
   ++ota.rollbacks;
-  obs::registry().counter("ota.rollbacks").add();
+  static obs::Counter& ota_rollbacks = obs::registry().counter("ota.rollbacks");
+  ota_rollbacks.add();
   fleet_.obsy.note(fleet_.topo.core(), event.time_s, "ota-rollback", ro.version_id,
                    verdict.pooled_rows);
   cancel_cohort();
@@ -558,7 +569,8 @@ void OtaLoop::handle_control_arrival(const Event& event) {
   fleet_.journey_arrive(event, obs::HopStream::kPatch, ro.trace, 0, "accepted");
   store.rollback();
   ++summary_.epochs_log[ro.entry].devices_rolled_back;
-  obs::registry().counter("ota.device_rollbacks").add();
+  static obs::Counter& ota_device_rollbacks = obs::registry().counter("ota.device_rollbacks");
+  ota_device_rollbacks.add();
   fleet_.obsy.note(node, event.time_s, "ota-revert", ro.version_id, store.current_id());
 }
 

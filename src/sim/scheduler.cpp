@@ -1,12 +1,13 @@
 #include "sim/scheduler.hpp"
 
+#include <array>
 #include <cstdio>
 
 #include "util/error.hpp"
 
 namespace iotml::sim {
 
-std::string event_kind_name(EventKind kind) {
+std::string_view event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::kDeviceFlush: return "device-flush";
     case EventKind::kEdgeFlush: return "edge-flush";
@@ -44,6 +45,17 @@ std::string event_kind_name(EventKind kind) {
   return "?";
 }
 
+std::string_view event_span_name(EventKind kind) {
+  static const std::array<std::string, kEventKindCount> names = [] {
+    std::array<std::string, kEventKindCount> out;
+    for (std::size_t k = 0; k < kEventKindCount; ++k) {
+      out[k] = "sim.event:" + std::string(event_kind_name(static_cast<EventKind>(k)));
+    }
+    return out;
+  }();
+  return names[static_cast<std::size_t>(kind)];
+}
+
 void Scheduler::push(double time_s, EventKind kind, std::size_t target,
                      std::size_t message, bool duplicate) {
   IOTML_CHECK(time_s >= now_s_, "Scheduler::push: event scheduled into the past");
@@ -55,20 +67,29 @@ Event Scheduler::pop() {
   Event event = queue_.top();
   queue_.pop();
   now_s_ = event.time_s;
-  ++processed_;
-
-  char line[128];
-  if (event.message == kNoMessage) {
-    std::snprintf(line, sizeof(line), "t=%.6f #%llu %s target=%zu", event.time_s,
-                  static_cast<unsigned long long>(event.seq),
-                  event_kind_name(event.kind).c_str(), event.target);
-  } else {
-    std::snprintf(line, sizeof(line), "t=%.6f #%llu %s target=%zu msg=%zu",
-                  event.time_s, static_cast<unsigned long long>(event.seq),
-                  event_kind_name(event.kind).c_str(), event.target, event.message);
-  }
-  log_.emplace_back(line);
+  popped_.push_back(event);
   return event;
+}
+
+std::vector<std::string> Scheduler::log() const {
+  std::vector<std::string> lines;
+  lines.reserve(popped_.size());
+  char line[128];
+  for (const Event& event : popped_) {
+    const std::string_view kind = event_kind_name(event.kind);
+    if (event.message == kNoMessage) {
+      std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu", event.time_s,
+                    static_cast<unsigned long long>(event.seq),
+                    static_cast<int>(kind.size()), kind.data(), event.target);
+    } else {
+      std::snprintf(line, sizeof(line), "t=%.6f #%llu %.*s target=%zu msg=%zu",
+                    event.time_s, static_cast<unsigned long long>(event.seq),
+                    static_cast<int>(kind.size()), kind.data(), event.target,
+                    event.message);
+    }
+    lines.emplace_back(line);
+  }
+  return lines;
 }
 
 }  // namespace iotml::sim

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace iotml::sim {
@@ -49,7 +50,15 @@ enum class EventKind {
   kSummaryArrival      ///< an approximate window summary reaches the core
 };
 
-std::string event_kind_name(EventKind kind);
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::kSummaryArrival) + 1;
+
+std::string_view event_kind_name(EventKind kind);
+
+/// "sim.event:" + event_kind_name(kind), interned once per kind: the name
+/// of the span FleetSim opens around each event, so dispatch builds no
+/// string (perfbench folds these spans into sim.event.<kind> metrics).
+std::string_view event_span_name(EventKind kind);
 
 inline constexpr std::size_t kNoMessage = static_cast<std::size_t>(-1);
 
@@ -68,8 +77,8 @@ static_assert(sizeof(Event) == 40, "Event::duplicate must fit the padding after 
 /// Deterministic discrete-event queue over a virtual clock. Events pop in
 /// (time, push-order) order, so equal timestamps resolve FIFO and a run is
 /// a pure function of the pushes — no wall-clock reads anywhere (lint rule
-/// R6). Every pop appends one line to the event log, which the determinism
-/// test compares byte-for-byte across runs.
+/// R6). Every pop records the popped Event; log() renders them as the event
+/// log, which the determinism tests compare byte-for-byte across runs.
 class Scheduler {
  public:
   /// Throws InvalidArgument if `time_s` precedes the current virtual time
@@ -87,10 +96,12 @@ class Scheduler {
   /// Current virtual time: the timestamp of the last popped event.
   double now_s() const noexcept { return now_s_; }
 
-  std::uint64_t processed() const noexcept { return processed_; }
+  std::uint64_t processed() const noexcept { return popped_.size(); }
 
-  /// One line per popped event, in processing order.
-  const std::vector<std::string>& log() const noexcept { return log_; }
+  /// One line per popped event, in processing order:
+  /// "t=<time_s %.6f> #<seq> <kind> target=<target>[ msg=<message>]".
+  /// Rendered on each call from the recorded events.
+  std::vector<std::string> log() const;
 
  private:
   struct Later {
@@ -102,9 +113,8 @@ class Scheduler {
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
   double now_s_ = 0.0;
-  std::vector<std::string> log_;
+  std::vector<Event> popped_;
 };
 
 }  // namespace iotml::sim

@@ -231,6 +231,43 @@ TEST(OtaTransfer, ResetDiscardsStagedStateForReuse) {
   EXPECT_TRUE(applier.complete());
 }
 
+// A hostile first frame: the last chunk of a claimed 2^20-chunk, 2 MiB
+// patch. Its shape is self-consistent (2-byte chunks) and its checksum
+// verifies, so only a staging bound can refuse it before the receiver
+// allocates per-chunk state for every claimed chunk.
+TEST(OtaTransfer, OversizedClaimIsRejectedBeforeStaging) {
+  ChunkFrame frame;
+  frame.version_id = 1;
+  frame.total = 1u << 20;
+  frame.index = frame.total - 1;
+  frame.patch_size = 2u << 20;
+  frame.payload = {0xAB, 0xCD};
+  frame.checksum = fnv1a32(frame.payload.data(), frame.payload.size());
+  PatchApplier applier;
+  EXPECT_EQ(applier.accept(frame), PatchApplier::Accept::kShapeMismatch);
+  EXPECT_FALSE(applier.started());
+  EXPECT_TRUE(applier.missing().empty());
+}
+
+TEST(OtaTransfer, StagesPatchesUpToTheCap) {
+  std::vector<std::uint8_t> bytes(kMaxPatchBytes);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i * 7);
+  const ChunkedPatch at_cap(bytes, kMaxPatchBytes / 2 - 1, 4);
+  ASSERT_EQ(at_cap.num_chunks(), 3u);
+  PatchApplier applier;
+  for (std::size_t i = at_cap.num_chunks(); i-- > 0;) {
+    EXPECT_EQ(applier.accept(at_cap.frame(i)), PatchApplier::Accept::kAccepted);
+  }
+  ASSERT_TRUE(applier.complete());
+  EXPECT_EQ(applier.assemble(), bytes);
+
+  bytes.push_back(0);
+  const ChunkedPatch over_cap(bytes, kMaxPatchBytes / 2, 5);
+  PatchApplier fresh;
+  EXPECT_EQ(fresh.accept(over_cap.frame(0)), PatchApplier::Accept::kShapeMismatch);
+  EXPECT_FALSE(fresh.started());
+}
+
 // ---- Version chain and device image store ------------------------------------
 
 TEST(OtaVersion, ChainTracksPromotedHeadsWithMonotoneIds) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "ota/transfer.hpp"
 #include "sim/fleet.hpp"
 #include "sim/placement.hpp"
@@ -27,8 +28,11 @@ TEST(Scheduler, PopsInTimeOrderFifoOnTies) {
   s.push(1.0, EventKind::kEdgeFlush, 2);
   s.push(1.0, EventKind::kArrival, 3, 7);
 
+  EXPECT_TRUE(s.log().empty());
   Event e1 = s.pop();
   EXPECT_EQ(e1.kind, EventKind::kEdgeFlush);  // earliest time wins
+  // The log renders what has been popped so far, on every read.
+  EXPECT_EQ(s.log(), std::vector<std::string>{"t=1.000000 #1 edge-flush target=2"});
   Event e2 = s.pop();
   EXPECT_EQ(e2.kind, EventKind::kArrival);  // tie broken by push order
   EXPECT_EQ(e2.message, 7u);
@@ -56,9 +60,25 @@ TEST(Scheduler, RejectsPastEventsAndEmptyPop) {
 }
 
 TEST(Scheduler, EventKindNames) {
-  EXPECT_EQ(event_kind_name(EventKind::kDeviceFlush), "device-flush");
-  EXPECT_EQ(event_kind_name(EventKind::kArrival), "arrival");
-  EXPECT_EQ(event_kind_name(EventKind::kLinkUp), "link-up");
+  // The event log's vocabulary, in enum order: every kind, each name once.
+  const std::array<const char*, kEventKindCount> names = {
+      "device-flush",       "edge-flush",         "arrival",
+      "link-down",          "link-up",            "device-down",
+      "device-up",          "deploy-broadcast",   "artifact-arrival",
+      "prediction-arrival", "edge-crash",         "edge-restart",
+      "core-crash",         "core-restart",       "partition-start",
+      "partition-end",      "loss-burst-start",   "loss-burst-end",
+      "corruption-start",   "corruption-end",     "checkpoint",
+      "corrupt-arrival",    "ota-epoch",          "ota-chunk-arrival",
+      "ota-resume",         "ota-report-arrival", "ota-verdict",
+      "ota-control-arrival", "load-storm-start",  "load-storm-end",
+      "storm-flush",        "summary-arrival"};
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    EXPECT_EQ(event_kind_name(kind), names[k]) << "kind " << k;
+    // The interned span name FleetSim opens around each event.
+    EXPECT_EQ(event_span_name(kind), "sim.event:" + std::string(event_kind_name(kind)));
+  }
 }
 
 // ---- Tier placement ----------------------------------------------------------
@@ -417,6 +437,60 @@ FleetConfig pinned_degrade_config() {
   config.degrade.thresholds.down = {0.1, 0.4, 0.9};
   config.degrade.thresholds.dwell_s = 3.0;
   return config;
+}
+
+TEST(Fleet, TracedRunKeepsItsSpanNames) {
+  // perfbench folds spans by name into its per-layer metrics
+  // ("sim.event:<kind>" -> sim.event.<kind>, "stage:<name>" ->
+  // pipeline.stage.<name>, "sim.deploy_prepare" -> deploy.prepare), so a
+  // traced run must keep emitting exactly these names.
+  ASSERT_FALSE(obs::trace().enabled());
+  obs::trace().clear();
+  obs::trace().set_enabled(true);
+  FleetSim fleet(pinned_ota_config());
+  const FleetReport report = fleet.run();
+  obs::trace().set_enabled(false);
+  std::set<std::string> names;
+  std::size_t event_spans = 0;
+  for (const obs::TraceEvent& e : obs::trace().snapshot()) {
+    names.insert(e.name);
+    if (e.name.starts_with("sim.event:")) ++event_spans;
+  }
+  obs::trace().clear();
+  const std::set<std::string> expected = {
+      "deploy.compile",
+      "deploy.quantize",
+      "pipeline.run",
+      "sim.deploy_prepare",
+      "sim.event:arrival",
+      "sim.event:artifact-arrival",
+      "sim.event:checkpoint",
+      "sim.event:corruption-end",
+      "sim.event:corruption-start",
+      "sim.event:deploy-broadcast",
+      "sim.event:device-down",
+      "sim.event:device-flush",
+      "sim.event:device-up",
+      "sim.event:edge-crash",
+      "sim.event:edge-flush",
+      "sim.event:edge-restart",
+      "sim.event:loss-burst-end",
+      "sim.event:loss-burst-start",
+      "sim.event:ota-chunk-arrival",
+      "sim.event:ota-epoch",
+      "sim.event:ota-report-arrival",
+      "sim.event:ota-resume",
+      "sim.event:ota-verdict",
+      "sim.event:partition-end",
+      "sim.event:partition-start",
+      "sim.event:prediction-arrival",
+      "sim.fleet_run",
+      "stage:clean(hampel)",
+      "stage:prepare(impute-linear)",
+      "stage:reduce(mi-top3)",
+  };
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(event_spans, report.events);
 }
 
 TEST(FleetPin, DeployOtaAckChaosObservatoryIsByteIdentical) {

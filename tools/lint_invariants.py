@@ -69,6 +69,16 @@ R9  float-equality        Bare `==` / `!=` against a floating-point literal is
                           std::abs tolerance, or restructure the check over
                           integers (e.g. loop indices instead of the float
                           values they select).
+R10 hot-path-recording    In src/, a string-keyed instrument lookup
+                          (`registry().counter/gauge/histogram(`) must be the
+                          initializer of a `static` handle (`static
+                          obs::Counter& c = obs::registry().counter("...")`)
+                          or sit inside a named handle-table builder
+                          (HANDLE_TABLES), so recording is a cached reference
+                          and never a mutex plus map lookup per event or send;
+                          and an obs::Span's name is never built with `+`
+                          (pass a literal or an interned name — a Span copies
+                          its name only when tracing is on).
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 
@@ -135,12 +145,14 @@ def strip_comments_and_strings(text: str) -> str:
 
 
 def extract_brace_block(text: str, open_idx: int) -> str:
-    """Return the {...} block starting at text[open_idx] == '{' (best effort)."""
+    """Return the {...} (or (...)) block starting at text[open_idx] (best effort)."""
+    opener = text[open_idx]
+    closer = {"{": "}", "(": ")"}[opener]
     depth = 0
     for j in range(open_idx, len(text)):
-        if text[j] == "{":
+        if text[j] == opener:
             depth += 1
-        elif text[j] == "}":
+        elif text[j] == closer:
             depth -= 1
             if depth == 0:
                 return text[open_idx : j + 1]
@@ -457,6 +469,41 @@ def check_float_equality(root: Path) -> list[str]:
     return problems
 
 
+REGISTRY_LOOKUP = re.compile(r"\bregistry\(\)\s*\.\s*(?:counter|gauge|histogram)\s*\(")
+STATIC_HANDLE = re.compile(
+    r"^static\s+(?:const\s+)?(?:\w+::)*(?:Counter|Gauge|Histogram)\s*&\s*\w+\s*=\s*(?:\w+::)*$"
+)
+HANDLE_TABLES = ("FleetSim::link_bytes",)
+SPAN_DECL = re.compile(r"\bSpan\s+\w+\s*[({]")
+
+
+def check_hot_path_recording(src: Path) -> list[str]:
+    """R10: keyed instrument lookups only as static handle initializers or in
+    HANDLE_TABLES; no Span name built with `+`."""
+    problems = []
+    for f in sorted(list(src.rglob("*.cpp")) + list(src.rglob("*.hpp"))):
+        code = strip_comments_and_strings(f.read_text())
+        lookups = blank_definitions(code, HANDLE_TABLES)
+        for m in REGISTRY_LOOKUP.finditer(lookups):
+            start = max(lookups.rfind(c, 0, m.start()) for c in ";{}") + 1
+            statement = " ".join(lookups[start : m.start()].split())
+            if not STATIC_HANDLE.match(statement):
+                lineno = lookups.count("\n", 0, m.start()) + 1
+                problems.append(
+                    f"{f.relative_to(src.parent)}:{lineno}: R10 uncached keyed instrument lookup "
+                    f"— cache it: `static obs::Counter& c = "
+                    f"obs::registry().counter(\"...\");` (or build a handle table once)"
+                )
+        for m in SPAN_DECL.finditer(code):
+            if "+" in extract_brace_block(code, m.end() - 1):
+                lineno = code.count("\n", 0, m.start()) + 1
+                problems.append(
+                    f"{f.relative_to(src.parent)}:{lineno}: R10 span name built with `+` — "
+                    f"pass a literal or an interned name (e.g. sim::event_span_name)"
+                )
+    return problems
+
+
 def check_pragma_once(src: Path) -> list[str]:
     """R5: every header uses #pragma once."""
     problems = []
@@ -577,6 +624,41 @@ def self_test() -> int:
          check_float_equality)
     case("R9-clean-src-out-of-scope", False, {"src/a.cpp": "bool b = v == 5.0;\n"},
          check_float_equality)
+    case("R10-flag-keyed-counter", True,
+         {"src/sim/a.cpp": "void f() { obs::registry().counter(\"sim.events\").add(); }\n"},
+         check_hot_path_recording, scope="src")
+    case("R10-flag-built-key", True,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::send(int l) {\n"
+          "  obs::registry().counter(\"net.link.\" + name(l) + \".bytes\").add(n);\n}\n"},
+         check_hot_path_recording, scope="src")
+    case("R10-flag-keyed-histogram-reference", True,
+         {"src/pipeline/stage.cpp":
+          "void run() {\n  obs::Histogram& h = obs::registry().histogram(\"wall_us\");\n"
+          "  h.record(1.0);\n}\n"},
+         check_hot_path_recording, scope="src")
+    case("R10-flag-span-concat", True,
+         {"src/pipeline/stage.cpp":
+          "void run() {\n  obs::Span span(\"stage:\" + stage->name(), \"pipeline\");\n}\n"},
+         check_hot_path_recording, scope="src")
+    case("R10-clean-static-handle", False,
+         {"src/net/channel.cpp":
+          "void send() {\n  static obs::Counter& net_channel_acks =\n"
+          "      obs::registry().counter(\"net.channel.acks\");\n"
+          "  net_channel_acks.add();\n}\n"},
+         check_hot_path_recording, scope="src")
+    case("R10-clean-handle-table", False,
+         {"src/sim/fleet.cpp":
+          "obs::Counter& FleetSim::link_bytes(std::size_t l) {\n"
+          "  if (!t_[l]) t_[l] = &obs::registry().counter(\"net.link.\" + n(l));\n"
+          "  return *t_[l];\n}\n"},
+         check_hot_path_recording, scope="src")
+    case("R10-clean-interned-span", False,
+         {"src/sim/fleet.cpp":
+          "void FleetSim::handle(const Event& e) {\n"
+          "  obs::Span span(event_span_name(e.kind), \"sim\");\n"
+          "  obs::Span run_span(\"sim.fleet_run\", \"sim\");\n}\n"},
+         check_hot_path_recording, scope="src")
 
     if failures:
         for f in failures:
@@ -611,6 +693,7 @@ def main() -> int:
     problems += check_serialization_casts(args.root)
     problems += check_transport_discipline(args.root)
     problems += check_float_equality(args.root)
+    problems += check_hot_path_recording(src)
 
     if problems:
         for p in problems:
@@ -619,7 +702,7 @@ def main() -> int:
         return 1
     print("lint_invariants: clean (R1 preconditions, R2 throws, R3 cycles, R4 rng, "
           "R5 pragma, R6 timing, R7 serialization casts, R8 transport, "
-          "R9 float equality)")
+          "R9 float equality, R10 hot-path recording)")
     return 0
 
 
