@@ -7,20 +7,6 @@
 
 namespace iotml::sim {
 
-std::string chaos_kind_name(ChaosKind kind) {
-  switch (kind) {
-    case ChaosKind::kPartitionStart: return "partition-start";
-    case ChaosKind::kPartitionEnd: return "partition-end";
-    case ChaosKind::kLossBurstStart: return "loss-burst-start";
-    case ChaosKind::kLossBurstEnd: return "loss-burst-end";
-    case ChaosKind::kCorruptionStart: return "corruption-start";
-    case ChaosKind::kCorruptionEnd: return "corruption-end";
-    case ChaosKind::kLoadStormStart: return "load-storm-start";
-    case ChaosKind::kLoadStormEnd: return "load-storm-end";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Sample alternating start/end pairs for one fleet-wide scenario over

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -23,8 +22,6 @@ enum class ChaosKind {
   kLoadStormStart,    ///< devices flush load_storm_factor times faster
   kLoadStormEnd
 };
-
-std::string chaos_kind_name(ChaosKind kind);
 
 /// One scheduled chaos transition. Fleet-wide scenarios leave `target` 0.
 struct ChaosEvent {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numbers>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "learners/decision_tree.hpp"
@@ -12,6 +13,7 @@
 #include "pipeline/integration.hpp"
 #include "pipeline/preparation.hpp"
 #include "pipeline/reduction.hpp"
+#include "sim/degrade_ladder.hpp"
 #include "sim/deploy_phase.hpp"
 #include "sim/ota_loop.hpp"
 #include "util/error.hpp"
@@ -96,6 +98,17 @@ data::Dataset sensor_features(const data::Dataset& ds) {
              : ds.select_columns(feature_cols);
 }
 
+/// The buffer's rows in timestamp order; equal stamps keep arrival order.
+data::Dataset time_ordered(const RowBuffer& buf) {
+  std::vector<std::size_t> order(buf.row_count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const data::Column& ts = buf.rows.column(0);
+  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
+    return ts.numeric(a) < ts.numeric(b);
+  });
+  return buf.rows.select_rows(order);
+}
+
 }  // namespace
 
 pipeline::Pipeline default_fleet_pipeline(const FleetConfig& config) {
@@ -136,28 +149,12 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
               "FleetSim: negative checkpoint interval");
   if (config.deploy.enabled) DeployPhase::validate(config.deploy);
   if (config.ota.enabled) OtaLoop::validate(config.ota);
+  if (config.degrade.enabled) DegradeLadder::validate(config.degrade);
   if (config.telemetry.enabled) {
     IOTML_CHECK(config.telemetry.scale_bits <= 52,
                 "FleetSim: telemetry.scale_bits must be <= 52");
     IOTML_CHECK(config.telemetry.device_log_bytes >= 1,
                 "FleetSim: telemetry.device_log_bytes must be >= 1");
-  }
-  if (config.degrade.enabled) {
-    IOTML_CHECK(config.degrade.pin_level >= -1 && config.degrade.pin_level <= 3,
-                "FleetSim: degrade.pin_level outside [-1, 3]");
-    IOTML_CHECK(config.degrade.sample_rate > 0.0 && config.degrade.sample_rate <= 1.0,
-                "FleetSim: degrade.sample_rate outside (0, 1]");
-    IOTML_CHECK(config.degrade.sketch_capacity >= 1 &&
-                    config.degrade.countmin_width >= 1 &&
-                    config.degrade.countmin_depth >= 1,
-                "FleetSim: degrade sketch shapes must be >= 1");
-    IOTML_CHECK(config.degrade.dead_letter_rate_ref > 0.0,
-                "FleetSim: degrade.dead_letter_rate_ref must be positive");
-    IOTML_CHECK(config.degrade.checkpoint_lag_rows >= 1,
-                "FleetSim: degrade.checkpoint_lag_rows must be >= 1");
-    IOTML_CHECK(config.degrade.sketch_cost_base >= 0.0 &&
-                    config.degrade.sketch_cost_per_row >= 0.0,
-                "FleetSim: negative degrade sketch cost");
   }
   if (config.deploy.enabled || config.ota.enabled) {
     // Downlinks append after every uplink, so in the split loop below the
@@ -183,7 +180,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   for (std::size_t l = 0; l < topo_.num_links(); ++l) link_rngs_.push_back(master.split());
   // The chaos stream splits off *after* every legacy stream, so a run with
   // chaos disabled draws exactly the sequences the pre-chaos runtime drew.
-  chaos_rng_ = master.split();  // rng-stream: chaos
+  Rng chaos_rng = master.split();  // rng-stream: chaos
   // The OTA streams split off after every earlier stream (appended to the
   // manifest in this order), so prior-seed event logs stay byte-identical
   // when OTA is off.
@@ -191,7 +188,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   Rng epoch_rng = master.split();  // rng-stream: epoch
   // The degradation-sampling stream splits off after every earlier stream,
   // so L0-only and degrade-off runs replay historical draw sequences.
-  degrade_rng_ = master.split();  // rng-stream: degrade
+  Rng degrade_rng = master.split();  // rng-stream: degrade
 
   // One transport per link. The topology is final here (downlinks included),
   // so the Link references the channels capture stay stable.
@@ -227,18 +224,8 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   edge_checkpoints_.resize(config.edges);
   device_sf_.resize(config.devices);
   if (config.degrade.enabled) {
-    degrade_ctrl_.reserve(config.edges);
-    for (std::size_t e = 0; e < config.edges; ++e) {
-      degrade_ctrl_.emplace_back(config.degrade.thresholds, config.degrade.pin_level);
-    }
-    degrade_signal_t_.assign(config.edges, 0.0);
-    degrade_dead_letters_.assign(config.edges, 0);
-    degrade_dead_letters_seen_.assign(config.edges, 0);
-    degrade_queue_hint_.assign(config.edges, 0.0);
-    degrade_sf_highwater_.assign(config.edges, 0);
-    report_.degradation.enabled = true;
-    report_.degradation.pin_level = config.degrade.pin_level;
-    report_.degradation.duration_s = config.duration_s;
+    ladder_ = std::make_unique<DegradeLadder>(config_, FleetSurface(*this),
+                                              std::move(degrade_rng));
   }
   if (config.telemetry.enabled) {
     tdf_session_open_.assign(config.devices, 0);
@@ -271,7 +258,7 @@ FleetSim::FleetSim(FleetConfig config, pipeline::Pipeline full_pipeline)
   }
 
   const std::vector<ChaosEvent> chaos =
-      make_chaos_plan(topo_, config.chaos, config.duration_s, chaos_rng_);
+      make_chaos_plan(topo_, config.chaos, config.duration_s, chaos_rng);
   for (const ChaosEvent& c : chaos) {
     EventKind kind = EventKind::kPartitionStart;
     switch (c.kind) {
@@ -390,10 +377,11 @@ FleetReport FleetSim::run() {
   for (std::size_t e = 0; e < config_.edges; ++e) handle_edge_flush(e, drain_s);
   while (!sched_.empty()) handle(sched_.pop());
 
-  if (degrade_on()) degrade_settle(std::max(sched_.now_s(), drain_s));
-
   finalize();
-  if (degrade_on()) finalize_degradation();
+  if (ladder_) {
+    std::tie(report_.degradation, report_.faults.edge_gauges) =
+        ladder_->finalize(std::max(sched_.now_s(), drain_s), channels_);
+  }
   if (deploy_) {
     // Ship the model to the data once the learning window has drained: the
     // fresh broadcast first, then the stale artifact for devices it missed.
@@ -420,7 +408,7 @@ FleetReport FleetSim::run() {
   // Stranded rows are booked last: the deploy phase can still crash an edge
   // (chaos crash_during_broadcast), which books the rows it had not persisted
   // as lost to the crash and restores only the checkpoint.
-  for (const Buffer& buf : edge_buffers_) report_.rows_stranded += buf.row_count;
+  for (const RowBuffer& buf : edge_buffers_) report_.rows_stranded += buf.row_count;
   // Undrained store-and-forward backlog is the device-side mirror of an
   // edge's stranded buffer.
   for (std::size_t dvc = 0; dvc < config_.devices; ++dvc) {
@@ -458,7 +446,7 @@ FleetReport FleetSim::run() {
       std::ofstream ota_out(config_.observatory.artifact_dir + "/ota.json");
       if (ota_out) ota_out << ota_to_json(report_.deploy.ota);
     }
-    if (degrade_on()) {
+    if (ladder_) {
       std::ofstream deg_out(config_.observatory.artifact_dir + "/degradation.json");
       if (deg_out) deg_out << degradation_to_json(report_.degradation);
     }
@@ -475,16 +463,11 @@ void FleetSim::handle(const Event& event) {
   static obs::Counter& sim_events = obs::registry().counter("sim.events");
   sim_events.add();
   switch (event.kind) {
-    case EventKind::kDeviceFlush:
-      handle_device_flush(event);
-      break;
+    case EventKind::kDeviceFlush: return handle_device_flush(event);
     case EventKind::kEdgeFlush:
-      handle_edge_flush(event.target - config_.devices, event.time_s);
-      break;
+      return handle_edge_flush(event.target - config_.devices, event.time_s);
     case EventKind::kArrival:
-    case EventKind::kCorruptArrival:
-      handle_arrival(event);
-      break;
+    case EventKind::kCorruptArrival: return handle_arrival(event);
     case EventKind::kLinkDown:
       topo_.link(event.target).set_up(false);
       static obs::Counter& sim_faults_link_down = obs::registry().counter("sim.faults.link_down");
@@ -513,15 +496,9 @@ void FleetSim::handle(const Event& event) {
       break;
     case EventKind::kDeployBroadcast:
     case EventKind::kArtifactArrival:
-    case EventKind::kPredictionArrival:
-      deploy_->handle(event);
-      break;
-    case EventKind::kEdgeCrash:
-      handle_edge_crash(event.target);
-      break;
-    case EventKind::kEdgeRestart:
-      handle_edge_restart(event.target);
-      break;
+    case EventKind::kPredictionArrival: return deploy_->handle(event);
+    case EventKind::kEdgeCrash: return handle_edge_crash(event.target);
+    case EventKind::kEdgeRestart: return handle_edge_restart(event.target);
     case EventKind::kCoreCrash:
       if (topo_.node(topo_.core()).up) {
         topo_.node(topo_.core()).up = false;
@@ -538,46 +515,26 @@ void FleetSim::handle(const Event& event) {
       topo_.node(topo_.core()).up = true;
       break;
     case EventKind::kPartitionStart:
-      set_partition(true);
-      break;
     case EventKind::kPartitionEnd:
-      set_partition(false);
-      break;
+      return set_partition(event.kind == EventKind::kPartitionStart);
     case EventKind::kLossBurstStart:
-      set_loss_burst(true);
-      break;
     case EventKind::kLossBurstEnd:
-      set_loss_burst(false);
-      break;
+      return set_loss_burst(event.kind == EventKind::kLossBurstStart);
     case EventKind::kCorruptionStart:
-      set_corruption_storm(true);
-      break;
     case EventKind::kCorruptionEnd:
-      set_corruption_storm(false);
-      break;
-    case EventKind::kCheckpoint:
-      handle_checkpoint(event.target);
-      break;
+      return set_corruption_storm(event.kind == EventKind::kCorruptionStart);
+    case EventKind::kCheckpoint: return handle_checkpoint(event.target);
     case EventKind::kOtaEpoch:
     case EventKind::kOtaChunkArrival:
     case EventKind::kOtaResume:
     case EventKind::kOtaReportArrival:
     case EventKind::kOtaVerdict:
-    case EventKind::kOtaControlArrival:
-      ota_->handle(event);
-      break;
+    case EventKind::kOtaControlArrival: return ota_->handle(event);
     case EventKind::kLoadStormStart:
-      set_load_storm(true, event.time_s);
-      break;
     case EventKind::kLoadStormEnd:
-      set_load_storm(false, event.time_s);
-      break;
-    case EventKind::kStormFlush:
-      handle_storm_flush(event);
-      break;
-    case EventKind::kSummaryArrival:
-      handle_summary_arrival(event);
-      break;
+      return set_load_storm(event.kind == EventKind::kLoadStormStart, event.time_s);
+    case EventKind::kStormFlush: return handle_storm_flush(event);
+    case EventKind::kSummaryArrival: return ladder_->handle(event);
   }
 }
 
@@ -606,7 +563,7 @@ void FleetSim::handle_device_flush(const Event& event) {
     return;
   }
 
-  Buffer out;
+  RowBuffer out;
   if (count > 0) {
     std::vector<std::size_t> idx(count);
     std::iota(idx.begin(), idx.end(), begin);
@@ -644,11 +601,11 @@ void FleetSim::handle_device_flush(const Event& event) {
 
   // Online: drain the store-and-forward backlog (oldest first) together
   // with the fresh window as one uplink message.
-  Buffer merged;
+  RowBuffer merged;
   if (sf) {
     while (!device_sf_[d].empty()) {
-      const Buffer& pending = device_sf_[d].front();
-      merged.append(pending.rows, pending.origin_s, pending.parents);
+      const RowBuffer& pending = device_sf_[d].front();
+      merged.append(d, pending.rows, pending.origin_s, pending.parents);
       device_sf_[d].pop_front();
     }
     if (merged.row_count > 0) obsy_.note(d, event.time_s, "sf-drain", merged.row_count);
@@ -656,13 +613,13 @@ void FleetSim::handle_device_flush(const Event& event) {
     // merged frame, re-encoded by send().
     if (telemetry_on()) device_logs_[d].clear();
   }
-  if (out.row_count > 0) merged.append(out.rows, out.origin_s, out.parents);
+  if (out.row_count > 0) merged.append(d, out.rows, out.origin_s, out.parents);
   if (merged.row_count == 0) return;
   send(d, std::move(merged), event.time_s);
 }
 
 void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
-  Buffer& buf = edge_buffers_[edge_index];
+  RowBuffer& buf = edge_buffers_[edge_index];
   if (buf.row_count == 0) return;
   const net::NodeId e = topo_.edge(edge_index);
   obsy_.sample("buffer.rows", topo_.node(e).name, "edge", now_s,
@@ -674,9 +631,17 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
   // partition (checkpoint lag, store-and-forward occupancy) still escalates
   // the level instead of being invisible until the wire heals.
   int degrade_level = 0;
-  if (degrade_on()) {
-    degrade_level =
-        degrade_update(edge_index, now_s, degrade_signals(edge_index, now_s));
+  if (ladder_) {
+    std::uint64_t sf_rows = 0;
+    for (std::size_t i = edge_index; i < config_.devices; i += config_.edges) {
+      sf_rows += stored_rows(topo_.device(i));
+    }
+    degrade_level = ladder_->step(
+        edge_index, now_s,
+        {.uplink_in_flight = channels_[topo_.uplink_index(e)].in_flight(now_s),
+         .sf_rows = sf_rows,
+         .buffered_rows = buf.row_count,
+         .checkpointed_rows = edge_checkpoints_[edge_index].row_count});
     if (degrade_level >= 2) {
       // L2/L3 answer the window locally and shed every row; only a
       // fixed-size summary goes upstream, so a dead uplink cannot make the
@@ -702,22 +667,15 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
     // L1: a seeded stratified sample of the window rides the normal
     // integrate -> pipeline -> uplink path below; the rest is shed with a
     // ledgered confidence interval standing in for them.
-    degrade_sample_window(edge_index, now_s);
-  } else if (degrade_on()) {
-    report_.degradation.rows_exact += buf.row_count;
-    ++report_.degradation.windows_exact;
+    report_.stage_reports.push_back(ladder_->sample(edge_index, now_s, buf));
+  } else if (ladder_) {
+    ladder_->answer_exact(buf.row_count);
   }
 
   // Integration: merge the per-device chunks into one time-ordered record
   // stream (the §IV "ordered list of time-stamps" step, here across devices).
   const std::int64_t start_us = obs::now_us();
-  std::vector<std::size_t> order(buf.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const data::Column& ts = buf.rows.column(0);
-  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-    return ts.numeric(a) < ts.numeric(b);
-  });
-  data::Dataset merged = buf.rows.select_rows(order);
+  data::Dataset merged = time_ordered(buf);
 
   StageReport integ;
   integ.stage_name = "integration";
@@ -738,328 +696,43 @@ void FleetSim::handle_edge_flush(std::size_t edge_index, double now_s) {
     report_.stage_reports.push_back(r);
   }
 
-  Buffer out;
+  RowBuffer out;
   out.row_count = merged.rows();
   out.rows = std::move(merged);
   out.origin_s = std::move(buf.origin_s);
   out.parents = std::move(buf.parents);
   obsy_.note(e, now_s, "edge-flush", out.row_count);
-  buf = Buffer{};
+  buf = RowBuffer{};
   // The flush ships these rows upstream, so the checkpoint covering them is
   // retired with the buffer — a later restore must never resurrect rows
   // that already left the edge.
-  edge_checkpoints_[edge_index] = Buffer{};
+  edge_checkpoints_[edge_index] = RowBuffer{};
   send(e, std::move(out), now_s);
 }
 
-// ---- Graceful-degradation ladder (DESIGN.md §16) --------------------------
+void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s, int level) {
+  RowBuffer& buf = edge_buffers_[edge_index];
+  const DegradeLadder::Summary summary = ladder_->summarize(edge_index, now_s, level, buf);
+  report_.stage_reports.push_back(summary.stage);
 
-approx::DegradeSignals FleetSim::degrade_signals(std::size_t edge_index,
-                                                 double now_s) {
-  approx::DegradeSignals s;
+  // Fixed-size, fire-and-forget semantics even on ack channels — a lost
+  // summary only costs observability, never rows, so the edge never burns a
+  // retry schedule on it when the wire is known dead.
   const net::NodeId e = topo_.edge(edge_index);
-
-  // Channel congestion: the uplink's depth right now, or the deepest
-  // fraction any of the edge's channels hit since the last update.
-  const auto cap = static_cast<double>(config_.channel.queue_capacity);
-  const std::size_t uplink = topo_.uplink_index(e);
-  const double now_frac =
-      static_cast<double>(channels_[uplink].in_flight(now_s)) / cap;
-  s.queue_fraction = std::max(now_frac, degrade_queue_hint_[edge_index]);
-  degrade_queue_hint_[edge_index] = 0.0;
-
-  // Dead-letter growth since the last update, against the reference rate.
-  const double elapsed = now_s - degrade_signal_t_[edge_index];
-  const std::uint64_t letters = degrade_dead_letters_[edge_index];
-  const std::uint64_t fresh = letters - degrade_dead_letters_seen_[edge_index];
-  if (fresh > 0) {
-    s.dead_letter_rate = (static_cast<double>(fresh) / std::max(elapsed, 1e-9)) /
-                         config_.degrade.dead_letter_rate_ref;
-  }
-  degrade_dead_letters_seen_[edge_index] = letters;
-
-  // Store-and-forward occupancy across the edge's devices (device i
-  // belongs to edge i % edges; see Topology::fleet).
-  if (config_.device_buffer_rows > 0) {
-    std::uint64_t total = 0;
-    std::size_t fleet = 0;
-    for (std::size_t i = edge_index; i < config_.devices; i += config_.edges) {
-      total += stored_rows(topo_.device(i));
-      ++fleet;
-    }
-    degrade_sf_highwater_[edge_index] =
-        std::max<std::uint64_t>(degrade_sf_highwater_[edge_index], total);
-    if (fleet > 0) {
-      s.sf_occupancy = static_cast<double>(total) /
-                       (static_cast<double>(config_.device_buffer_rows) *
-                        static_cast<double>(fleet));
-    }
-  }
-
-  // Checkpoint lag: rows buffered beyond what the last checkpoint covers.
-  if (config_.checkpoint_interval_s > 0.0) {
-    const std::size_t buffered = edge_buffers_[edge_index].row_count;
-    const std::size_t persisted = edge_checkpoints_[edge_index].row_count;
-    const std::size_t lag = buffered > persisted ? buffered - persisted : 0;
-    s.checkpoint_lag = static_cast<double>(lag) /
-                       static_cast<double>(config_.degrade.checkpoint_lag_rows);
-  }
-  degrade_signal_t_[edge_index] = now_s;
-  return s;
-}
-
-int FleetSim::degrade_update(std::size_t edge_index, double now_s,
-                             const approx::DegradeSignals& signals) {
-  approx::DegradationController& ctrl = degrade_ctrl_[edge_index];
-  const approx::DegradeLevel before = ctrl.level();
-  const approx::DegradeLevel after = ctrl.update(now_s, signals);
-  if (after != before) {
-    auto& d = report_.degradation;
-    if (static_cast<int>(after) > static_cast<int>(before)) {
-      ++d.transitions_up;
-    } else {
-      ++d.transitions_down;
-    }
-    static obs::Counter& sim_degrade_transitions =
-        obs::registry().counter("sim.degrade.transitions");
-    sim_degrade_transitions.add();
-    const net::NodeId e = topo_.edge(edge_index);
-    obsy_.note(e, now_s, "degrade-level", static_cast<std::size_t>(before),
-               static_cast<std::size_t>(after));
-    obsy_.sample("degrade.level", topo_.node(e).name, "edge", now_s,
-                 static_cast<double>(static_cast<int>(after)));
-  }
-  return static_cast<int>(after);
-}
-
-namespace {
-
-/// Mean of a column over [0, rows), skipping missing cells; the number of
-/// contributing cells comes back through `n`.
-double column_mean(const data::Column& col, std::size_t rows, std::size_t& n) {
-  double sum = 0.0;
-  n = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (col.is_missing(r)) continue;
-    sum += col.numeric(r);
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-}  // namespace
-
-void FleetSim::degrade_record_ci(std::size_t edge_index, double now_s, int level,
-                                 std::size_t population, std::size_t rows_used,
-                                 const approx::Interval& ci, double exact,
-                                 std::size_t exact_n) {
-  auto& d = report_.degradation;
-  const bool covered = exact_n == 0 || ci.covers(exact);
-  ++d.ci_windows;
-  if (covered) ++d.ci_covered;
-  degrade_half_width_sum_ += ci.half_width;
-  const double err = std::abs(ci.estimate - exact);
-  degrade_abs_error_sum_ += err;
-  d.max_abs_error = std::max(d.max_abs_error, err);
-  if (d.windows.size() < kMaxWindowEstimates) {
-    d.windows.push_back({edge_index, now_s, level, population, rows_used,
-                         ci.estimate, ci.half_width, exact, covered});
-  } else {
-    ++d.windows_truncated;
-  }
-}
-
-void FleetSim::degrade_sample_window(std::size_t edge_index, double now_s) {
-  Buffer& buf = edge_buffers_[edge_index];
-  const std::size_t population = buf.row_count;
-  auto& d = report_.degradation;
-
-  // Strata must tile the buffer exactly; anything else (defensive — e.g. a
-  // window restored from a pre-ladder checkpoint) collapses to one stratum.
-  std::size_t tiled = 0;
-  for (const approx::Stratum& s : buf.strata) tiled += s.count;
-  std::vector<approx::Stratum> strata = buf.strata;
-  if (strata.empty() || tiled != population) {
-    strata.assign(1, approx::Stratum{static_cast<std::uint32_t>(edge_index), 0,
-                                     population});
-  }
-
-  // Sample live rows only, stratum by stratum. Missing cells carry no
-  // analytic value (downstream would impute them), and with contiguous-run
-  // sampling a tiny stratum whose only draw lands on a missing cell drops
-  // out of the estimate entirely — storm-compressed strata are small, late,
-  // and drifted, so those dropouts are a systematic bias, not noise.
-  const data::Column& col = buf.rows.column(1);
-  std::vector<std::vector<std::size_t>> live(strata.size());
-  for (std::size_t i = 0; i < strata.size(); ++i) {
-    const approx::Stratum& s = strata[i];
-    for (std::size_t r = s.begin; r < s.begin + s.count; ++r) {
-      if (!col.is_missing(r)) live[i].push_back(r);
-    }
-  }
-
-  const std::int64_t start_us = obs::now_us();
-  const std::vector<std::size_t> keep =
-      approx::stratified_indices(live, config_.degrade.sample_rate,
-                                 degrade_rng_);
-
-  // The bounded-error contract: the realized error of the sampled window
-  // mean (first measured quantity) against the exact full-window answer,
-  // which the simulator can still compute out of band. The per-stratum
-  // sampler rounds draws up, so small strata carry higher sampling
-  // fractions; the self-weighted stratified estimator keeps that from
-  // biasing the window mean (a pooled mean over `keep` would drift high).
-  std::size_t exact_n = 0;
-  const double exact = column_mean(col, population, exact_n);
-  std::vector<approx::StratumSample> samples(strata.size());
-  for (std::size_t i = 0; i < strata.size(); ++i) {
-    samples[i].population = live[i].size();
-  }
-  std::size_t cursor = 0;
-  for (std::size_t r : keep) {
-    while (cursor + 1 < strata.size() &&
-           r >= strata[cursor].begin + strata[cursor].count) {
-      ++cursor;
-    }
-    samples[cursor].values.push_back(col.numeric(r));
-  }
-  degrade_record_ci(edge_index, now_s, 1, population, keep.size(),
-                    approx::stratified_mean_interval(samples), exact, exact_n);
-
-  ++d.windows_sampled;
-  d.rows_approx += population;
-  d.rows_sampled_out += population - keep.size();
-
-  StageReport st;
-  st.stage_name = "degrade(sample)";
-  st.player = "edge-operator";
-  st.tier = Tier::kEdge;
-  st.rows_in = population;
-  st.rows_out = keep.size();
-  st.columns_out = buf.rows.num_columns();
-  st.missing_rate_in = buf.rows.missing_rate();
-  st.cost = 0.05 + 0.0002 * static_cast<double>(population);
-  // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-  st.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-
-  Buffer kept;
-  kept.rows = buf.rows.select_rows(keep);
-  kept.row_count = keep.size();
-  kept.origin_s = std::move(buf.origin_s);
-  kept.parents = std::move(buf.parents);
-  buf = std::move(kept);  // the sampled window is one run now; strata reset
-  st.missing_rate_out = buf.rows.missing_rate();
-  report_.stage_reports.push_back(std::move(st));
-
-  const net::NodeId e = topo_.edge(edge_index);
-  obsy_.note(e, now_s, "degrade-sample", population, keep.size());
-  obsy_.sample("degrade.sampled_rows", topo_.node(e).name, "edge", now_s,
-               static_cast<double>(keep.size()));
-}
-
-void FleetSim::degrade_summary_flush(std::size_t edge_index, double now_s,
-                                     int level) {
-  Buffer& buf = edge_buffers_[edge_index];
-  const std::size_t population = buf.row_count;
-  const net::NodeId e = topo_.edge(edge_index);
-  auto& d = report_.degradation;
-  const std::int64_t start_us = obs::now_us();
-
-  // Count + level + window stamp ride in every summary.
-  std::size_t wire_bytes = net::kMessageHeaderBytes + 24;
-
-  StageReport st;
-  st.player = "edge-operator";
-  st.tier = Tier::kEdge;
-  st.rows_in = population;
-  st.rows_out = 0;
-  st.columns_out = 0;
-  st.missing_rate_in = buf.rows.missing_rate();
-
-  if (level == 2) {
-    // L2 sketch-only reduce: the window collapses to a count-min tally of
-    // rows per sender plus a bottom-k quantile sample of the first measured
-    // quantity. Both are mergeable and byte-stable, so the core could fold
-    // summaries from many edges in any order; the retained sample doubles
-    // as the CI input.
-    approx::CountMinSketch tally(config_.degrade.countmin_width,
-                                 config_.degrade.countmin_depth, config_.seed);
-    std::size_t tiled = 0;
-    for (const approx::Stratum& s : buf.strata) tiled += s.count;
-    if (!buf.strata.empty() && tiled == population) {
-      for (const approx::Stratum& s : buf.strata) tally.add(s.key, s.count);
-    } else {
-      tally.add(e, population);
-    }
-    approx::QuantileSketch quant(config_.degrade.sketch_capacity, config_.seed);
-    const data::Column& col = buf.rows.column(1);
-    const std::uint64_t key_base = static_cast<std::uint64_t>(e) << 32;
-    for (std::size_t r = 0; r < population; ++r) {
-      if (col.is_missing(r)) continue;
-      quant.add(key_base | static_cast<std::uint64_t>(r), col.numeric(r));
-    }
-
-    std::size_t exact_n = 0;
-    const double exact = column_mean(col, population, exact_n);
-    degrade_record_ci(edge_index, now_s, 2, population, quant.retained(),
-                      approx::mean_interval(quant.sample_values(), exact_n),
-                      exact, exact_n);
-
-    wire_bytes += tally.encode().size() + quant.encode().size();
-    ++d.windows_sketch;
-    st.stage_name = "degrade(sketch-reduce)";
-    st.cost = config_.degrade.sketch_cost_base +
-              config_.degrade.sketch_cost_per_row * static_cast<double>(population);
-  } else {
-    // L3 summary-only: the edge reports a bare row count and sheds the
-    // window.
-    ++d.windows_summary;
-    st.stage_name = "degrade(summary-only)";
-    st.cost = 0.01;
-  }
-  d.rows_approx += population;
-  d.rows_sampled_out += population;
-  st.missing_rate_out = 0.0;
-  // det-sanctioned: wall_time_us is observability-only; to_json and the event log omit it
-  st.wall_time_us = static_cast<std::uint64_t>(obs::now_us() - start_us);
-  report_.stage_reports.push_back(std::move(st));
-
-  obsy_.note(e, now_s, "degrade-shed", population, static_cast<std::size_t>(level));
-  obsy_.sample("degrade.shed_rows", topo_.node(e).name, "edge", now_s,
-               static_cast<double>(population));
-
-  // Summary uplink: fixed-size, fire-and-forget semantics even on ack
-  // channels — a lost summary only costs observability, never rows, so the
-  // edge never burns a retry schedule on it when the wire is known dead.
-  const std::size_t index = degrade_summaries_.size();
-  degrade_summaries_.push_back({edge_index, level, wire_bytes,
-                                static_cast<std::uint64_t>(population), false});
-  ++d.summaries_sent;
-  d.summary_bytes += wire_bytes;
   const bool ack = config_.channel.mode == net::ChannelMode::kAckRetry;
   if (!(ack && (!topo_.node(topo_.core()).up || !topo_.uplink(e).up()))) {
     const std::size_t link_index = topo_.uplink_index(e);
     const net::ChannelOutcome out =
-        channels_[link_index].send(now_s, wire_bytes, link_rngs_[link_index]);
+        channels_[link_index].send(now_s, summary.wire_bytes, link_rngs_[link_index]);
     if (out.accepted && out.delivered && !out.corrupted) {
-      schedule_arrival(out, EventKind::kSummaryArrival, topo_.core(), index);
+      schedule_arrival(out, EventKind::kSummaryArrival, topo_.core(), summary.message);
     }
   }
 
   // The window is answered: its rows leave the ledger as sampled-out, and
   // the checkpoint that covered them retires with the buffer.
-  buf = Buffer{};
-  edge_checkpoints_[edge_index] = Buffer{};
-}
-
-void FleetSim::handle_summary_arrival(const Event& event) {
-  DegradeSummary& s = degrade_summaries_[event.message];
-  if (s.delivered) return;  // duplicated frame
-  if (!topo_.node(topo_.core()).up) return;  // nobody listening; summary dies
-  s.delivered = true;
-  ++report_.degradation.summaries_delivered;
-  obsy_.note(topo_.core(), event.time_s, "rx-summary",
-             static_cast<std::size_t>(s.rows_represented), static_cast<std::size_t>(s.level));
+  buf = RowBuffer{};
+  edge_checkpoints_[edge_index] = RowBuffer{};
 }
 
 void FleetSim::set_load_storm(bool on, double now_s) {
@@ -1090,62 +763,6 @@ void FleetSim::handle_storm_flush(const Event& event) {
   }
 }
 
-void FleetSim::degrade_settle(double now_s) {
-  // Calm updates past the drain: each de-escalation rung needs a calm mark
-  // plus a full dwell, so 2 updates per rung and 3 rungs = 6; run 8 for
-  // margin. Controller-side only — no events, no draws, no wire bytes — so
-  // L0-pinned and never-escalated runs are unaffected.
-  for (int k = 1; k <= 8; ++k) {
-    const double t =
-        now_s + static_cast<double>(k) * config_.degrade.thresholds.dwell_s;
-    for (std::size_t e = 0; e < config_.edges; ++e) {
-      degrade_update(e, t, approx::DegradeSignals{});
-    }
-  }
-}
-
-void FleetSim::finalize_degradation() {
-  auto& d = report_.degradation;
-  if (d.ci_windows > 0) {
-    const auto windows = static_cast<double>(d.ci_windows);
-    d.coverage = static_cast<double>(d.ci_covered) / windows;
-    d.mean_half_width = degrade_half_width_sum_ / windows;
-    d.mean_abs_error = degrade_abs_error_sum_ / windows;
-  }
-  for (std::size_t e = 0; e < config_.edges; ++e) {
-    const approx::DegradationController& ctrl = degrade_ctrl_[e];
-    EdgeDegradeTimeline timeline;
-    timeline.edge = e;
-    timeline.final_level = static_cast<int>(ctrl.level());
-    for (std::size_t l = 0; l < 4; ++l) {
-      timeline.time_at_level_s[l] = ctrl.time_at_level()[l];
-    }
-    for (const approx::LevelTransition& tr : ctrl.transitions()) {
-      timeline.transitions.push_back(
-          {e, tr.t_s, static_cast<int>(tr.from), static_cast<int>(tr.to)});
-    }
-    d.edges.push_back(std::move(timeline));
-  }
-
-  // Per-edge backpressure gauges — the raw signals behind the ladder,
-  // visible even in pinned runs.
-  for (std::size_t e = 0; e < config_.edges; ++e) {
-    BackpressureGauge g;
-    g.edge = e;
-    const net::Channel& up = channels_[topo_.uplink_index(topo_.edge(e))];
-    g.uplink_in_flight_highwater = up.in_flight_highwater();
-    g.uplink_dead_letters = up.dead_letters();
-    for (std::size_t i = e; i < config_.devices; i += config_.edges) {
-      const net::Channel& ch = channels_[topo_.uplink_index(topo_.device(i))];
-      g.device_in_flight_highwater =
-          std::max(g.device_in_flight_highwater, ch.in_flight_highwater());
-      g.device_dead_letters += ch.dead_letters();
-    }
-    g.sf_rows_highwater = static_cast<std::size_t>(degrade_sf_highwater_[e]);
-    report_.faults.edge_gauges.push_back(g);
-  }
-}
-
 obs::Counter& FleetSim::link_bytes(std::size_t link) {
   obs::Counter*& slot = link_bytes_[link];
   if (slot == nullptr) {
@@ -1154,7 +771,7 @@ obs::Counter& FleetSim::link_bytes(std::size_t link) {
   return *slot;
 }
 
-void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
+void FleetSim::send(net::NodeId from, RowBuffer&& chunk, double now_s) {
   const std::size_t link_index = topo_.uplink_index(from);
   const net::NodeId to = topo_.next_hop(from);
   const std::size_t rows = chunk.row_count;
@@ -1200,7 +817,7 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
   auto keep_rows = [&](bool dead_letter) {
     if (from_device) {
       if (config_.device_buffer_rows > 0) {
-        Buffer back;
+        RowBuffer back;
         back.row_count = rows;
         back.rows = std::move(msg.payload);
         back.origin_s = std::move(msg.origin_s);
@@ -1216,11 +833,8 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
         report_.rows_lost += rows;
       }
     } else {
-      Buffer& buf = edge_buffers_[from - config_.devices];
-      if (degrade_on()) {
-        buf.strata.push_back({static_cast<std::uint32_t>(from), buf.row_count, rows});
-      }
-      buf.append(msg.payload, msg.origin_s, frame.parents);
+      edge_buffers_[from - config_.devices].append(from, msg.payload, msg.origin_s,
+                                                   frame.parents);
     }
   };
 
@@ -1255,15 +869,9 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
       transmit(frame, EventKind::kArrival, messages_.size(), now_s);
   msg.trace.id = frame.trace;
   obsy_.note(from, now_s, frame.outcome, rows, bytes);
-  if (degrade_on()) {
-    // Fold the post-send queue depth into the owning edge's congestion
-    // hint; its controller reads (and resets) the max at its next update.
-    const std::size_t ei = (from_device ? to : from) - config_.devices;
-    const double frac =
-        static_cast<double>(channels_[link_index].in_flight(now_s)) /
-        static_cast<double>(config_.channel.queue_capacity);
-    degrade_queue_hint_[ei] = std::max(degrade_queue_hint_[ei], frac);
-  }
+  // The hop belongs to the sending edge, or to the sending device's edge.
+  if (ladder_) ladder_->note_send((from_device ? to : from) - config_.devices,
+                                  channels_[link_index].in_flight(now_s), !out.accepted);
   if (tdf_msg && ack) {
     report_.telemetry.frames_rejected +=
         channels_[link_index].stats().corrupt_rejected - tdf_pre_rejects;
@@ -1282,9 +890,6 @@ void FleetSim::send(net::NodeId from, Buffer&& chunk, double now_s) {
     static obs::Counter& sim_net_dropped = obs::registry().counter("sim.net.dropped");
     sim_net_dropped.add();
     flight_dump(from, "dead-letter", now_s);
-    if (degrade_on()) {
-      ++degrade_dead_letters_[(from_device ? to : from) - config_.devices];
-    }
     keep_rows(true);
     return;
   }
@@ -1429,11 +1034,7 @@ void FleetSim::handle_arrival(const Event& event) {
     obsy_.sample("uplink.latency_s", entity, "edge", event.time_s, hop_latency_s);
     obsy_.sample("uplink.rows", entity, "edge", event.time_s,
                  static_cast<double>(msg.payload.rows()));
-    Buffer& buf = edge_buffers_[node - config_.devices];
-    if (degrade_on()) {
-      buf.strata.push_back({static_cast<std::uint32_t>(msg.src), buf.row_count,
-                            msg.payload.rows()});
-    }
+    RowBuffer& buf = edge_buffers_[node - config_.devices];
     if (!msg.tdf_frame.empty()) {
       // The decode is load-bearing: the edge reconstructs the rows from the
       // wire bytes and feeds *those* into its sub-pipeline. The
@@ -1445,16 +1046,16 @@ void FleetSim::handle_arrival(const Event& event) {
           "FleetSim: TDF decode does not reproduce the device's rows");
       ++report_.telemetry.frames_delivered;
       report_.telemetry.rows_decoded += f.rows.rows();
-      buf.append(f.rows, f.origin_s, msg_parents_[msg.id]);
+      buf.append(msg.src, f.rows, f.origin_s, msg_parents_[msg.id]);
     } else {
-      buf.append(msg.payload, msg.origin_s, msg_parents_[msg.id]);
+      buf.append(msg.src, msg.payload, msg.origin_s, msg_parents_[msg.id]);
     }
   }
 }
 
 void FleetSim::handle_checkpoint(std::size_t edge_index) {
   if (!topo_.node(topo_.edge(edge_index)).up) return;  // crashed edges can't persist
-  const Buffer& buf = edge_buffers_[edge_index];
+  const RowBuffer& buf = edge_buffers_[edge_index];
   edge_checkpoints_[edge_index] = buf;
   ++report_.faults.checkpoints_written;
   static obs::Counter& sim_recovery_checkpoints_written =
@@ -1475,23 +1076,23 @@ void FleetSim::handle_edge_crash(std::size_t edge_index) {
   flight_dump(topo_.edge(edge_index), "edge-crash", sched_.now_s());
   // Volatile state dies with the process: everything integrated since the
   // last checkpoint is gone. The checkpoint itself is durable storage.
-  Buffer& buf = edge_buffers_[edge_index];
+  RowBuffer& buf = edge_buffers_[edge_index];
   const std::size_t persisted =
       std::min(edge_checkpoints_[edge_index].row_count, buf.row_count);
   report_.faults.rows_lost_to_crash += buf.row_count - persisted;
   static obs::Counter& sim_faults_rows_lost_to_crash =
       obs::registry().counter("sim.faults.rows_lost_to_crash");
   sim_faults_rows_lost_to_crash.add(buf.row_count - persisted);
-  buf = Buffer{};
+  buf = RowBuffer{};
 }
 
 void FleetSim::handle_edge_restart(std::size_t edge_index) {
   net::NodeInfo& n = topo_.node(topo_.edge(edge_index));
   if (n.up) return;  // already restarted (overlapping crash windows)
   n.up = true;
-  const Buffer& ckpt = edge_checkpoints_[edge_index];
+  const RowBuffer& ckpt = edge_checkpoints_[edge_index];
   if (ckpt.row_count == 0) return;
-  Buffer& buf = edge_buffers_[edge_index];
+  RowBuffer& buf = edge_buffers_[edge_index];
   IOTML_INTERNAL_CHECK(buf.row_count == 0,
                        "FleetSim: restart over a live edge buffer");
   buf = ckpt;
@@ -1556,8 +1157,8 @@ void FleetSim::set_corruption_storm(bool on) {
   }
 }
 
-void FleetSim::store_and_forward(net::NodeId device, Buffer&& chunk) {
-  std::deque<Buffer>& q = device_sf_[device];
+void FleetSim::store_and_forward(net::NodeId device, RowBuffer&& chunk) {
+  std::deque<RowBuffer>& q = device_sf_[device];
   q.push_back(std::move(chunk));
   const std::size_t cap = config_.device_buffer_rows;
   std::size_t total = stored_rows(device);
@@ -1572,7 +1173,7 @@ void FleetSim::store_and_forward(net::NodeId device, Buffer&& chunk) {
     q.pop_front();
   }
   if (total > cap) {
-    Buffer& b = q.front();
+    RowBuffer& b = q.front();
     const std::size_t drop = total - cap;
     std::vector<std::size_t> keep(b.row_count - drop);
     std::iota(keep.begin(), keep.end(), drop);
@@ -1587,7 +1188,7 @@ void FleetSim::store_and_forward(net::NodeId device, Buffer&& chunk) {
 
 std::size_t FleetSim::stored_rows(net::NodeId device) const {
   std::size_t total = 0;
-  for (const Buffer& b : device_sf_[device]) total += b.row_count;
+  for (const RowBuffer& b : device_sf_[device]) total += b.row_count;
   return total;
 }
 
@@ -1610,7 +1211,7 @@ std::vector<std::uint8_t> FleetSim::telemetry_encode(
                            tdf_seq_[device]++, include_schema);
 }
 
-void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
+void FleetSim::telemetry_store(net::NodeId device, RowBuffer&& chunk) {
   // Quantize on entry so the sizing encode sees exactly what a later send
   // re-encodes (quantization is idempotent).
   tdf::quantize(chunk.rows, config_.telemetry.scale_bits);
@@ -1620,7 +1221,7 @@ void FleetSim::telemetry_store(net::NodeId device, Buffer&& chunk) {
   const std::vector<std::uint8_t> frame =
       telemetry_encode(device, chunk.rows, chunk.origin_s);
   const std::size_t rows = chunk.row_count;
-  std::deque<Buffer>& q = device_sf_[device];
+  std::deque<RowBuffer>& q = device_sf_[device];
   tdf::DeviceLog& log = device_logs_[device];
   q.push_back(std::move(chunk));
   auto& t = report_.telemetry;
@@ -1696,7 +1297,7 @@ void FleetSim::finalize() {
   }
   if (core_buffer_.row_count == 0) return;
 
-  data::Dataset ds = tiers_.core.run(labeled_core_rows(), core_rng_);
+  data::Dataset ds = tiers_.core.run(labeled(time_ordered(core_buffer_)), core_rng_);
   for (const StageReport& r : tiers_.core.reports()) {
     report_.stage_reports.push_back(r);
   }
@@ -1736,25 +1337,14 @@ void FleetSim::finalize() {
   if (deploy_) deploy_->prepare(train, test);
 }
 
-int FleetSim::truth_label(double time_s) const {
+data::Dataset FleetSim::labeled(data::Dataset ds) const {
   // The analytics concept of the Fig. 1 example: "comfortable" iff the true
   // temperature at that instant lies in [20, 28].
-  const double temp = truths_[0](time_s);
-  return temp >= 20.0 && temp <= 28.0 ? 1 : 0;
-}
-
-data::Dataset FleetSim::labeled_core_rows() const {
-  std::vector<std::size_t> order(core_buffer_.row_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const data::Column& ts = core_buffer_.rows.column(0);
-  std::stable_sort(order.begin(), order.end(), [&ts](std::size_t a, std::size_t b) {
-    return ts.numeric(a) < ts.numeric(b);
-  });
-  data::Dataset ds = core_buffer_.rows.select_rows(order);
   std::vector<int> labels;
   labels.reserve(ds.rows());
   for (std::size_t r = 0; r < ds.rows(); ++r) {
-    labels.push_back(truth_label(ds.column(0).numeric(r)));
+    const double temp = truths_[0](ds.column(0).numeric(r));
+    labels.push_back(temp >= 20.0 && temp <= 28.0 ? 1 : 0);
   }
   ds.set_labels(std::move(labels));
   return ds;
@@ -1762,15 +1352,9 @@ data::Dataset FleetSim::labeled_core_rows() const {
 
 data::Dataset FleetSim::labeled_device_rows(std::size_t device, std::size_t begin,
                                             std::size_t end) const {
-  const data::Dataset& all = device_data_[device];
   std::vector<std::size_t> idx(end - begin);
   std::iota(idx.begin(), idx.end(), begin);
-  data::Dataset rows = all.select_rows(idx);
-  std::vector<int> labels;
-  labels.reserve(idx.size());
-  for (const std::size_t r : idx) labels.push_back(truth_label(all.column(0).numeric(r)));
-  rows.set_labels(std::move(labels));
-  return rows;
+  return labeled(device_data_[device].select_rows(idx));
 }
 
 FleetSurface::FleetSurface(FleetSim& fleet) noexcept
@@ -1791,7 +1375,7 @@ std::uint64_t FleetSurface::next_trace() noexcept { return fleet_.next_trace_++;
 
 data::Dataset FleetSurface::training_set() const {
   if (fleet_.core_buffer_.row_count == 0) return {};
-  return sensor_features(fleet_.labeled_core_rows());
+  return sensor_features(fleet_.labeled(time_ordered(fleet_.core_buffer_)));
 }
 
 data::Dataset FleetSurface::recent_rows(std::size_t device, double before_s,

@@ -8,10 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "approx/confidence.hpp"
 #include "approx/degradation.hpp"
 #include "approx/sample.hpp"
-#include "approx/sketch.hpp"
 #include "data/dataset.hpp"
 #include "deploy/compiled_model.hpp"
 #include "net/channel.hpp"
@@ -118,10 +116,10 @@ struct TelemetryConfig {
 ///                 bottom-k quantile); only a fixed-size summary uplinks
 ///   L3 summary  — row counts only; every row is shed at the edge
 ///
-/// Off by default. When off, no controller exists, no degrade stream is
-/// drawn from, and runs are byte-identical to pre-ladder builds. When on
-/// with pin_level = 0 the ladder never leaves L0, which must also reproduce
-/// the legacy event log and report byte-for-byte (tested against goldens).
+/// Off by default. When off, no ladder exists, no degrade stream is drawn
+/// from, and runs are byte-identical to pre-ladder builds. When on with
+/// pin_level = 0 the ladder never leaves L0: the event log stays
+/// byte-identical, and the report gains the degradation block (goldens).
 struct DegradeConfig {
   bool enabled = false;
 
@@ -209,10 +207,7 @@ struct FleetConfig {
   /// byte-identical.
   ota::OtaConfig ota;
 
-  /// The graceful-degradation ladder (DESIGN.md §16). Off by default; when
-  /// off no controller runs and no degrade RNG stream is drawn from, so
-  /// legacy event logs and reports stay byte-identical.
-  DegradeConfig degrade;
+  DegradeConfig degrade;  ///< the degradation ladder (DESIGN.md §16), off by default
 };
 
 /// The default Fig. 1 pipeline, tagged for placement: device-side outlier
@@ -228,6 +223,34 @@ pipeline::Pipeline default_fleet_pipeline(const FleetConfig& config);
 /// raw sensor units and fold any standardization into the compiled artifact
 /// instead (see deploy::compile).
 pipeline::Pipeline default_deploy_pipeline(const FleetConfig& config);
+
+/// A batch of rows in transit or at rest on one node: a device's
+/// store-and-forward chunk, an edge's flush window, the core's received rows.
+struct RowBuffer {
+  data::Dataset rows;
+  std::vector<double> origin_s;
+  std::size_t row_count = 0;
+  /// Origin-window trace ids folded into `rows`, in fold order — the
+  /// causal provenance the journey log needs to survive edge batching,
+  /// store-and-forward and checkpoint restore.
+  std::vector<std::uint64_t> parents;
+  /// Contiguous per-sender row runs, one per append — the strata L1
+  /// sampling draws from, so every device keeps representation in the
+  /// sampled window.
+  std::vector<approx::Stratum> strata;
+
+  /// Fold `more` from `sender`, with its origin times and parent ids, onto
+  /// the end as one stratum.
+  void append(net::NodeId sender, const data::Dataset& more,
+              const std::vector<double>& more_origin_s,
+              const std::vector<std::uint64_t>& more_parents) {
+    strata.push_back({static_cast<std::uint32_t>(sender), row_count, more.rows()});
+    rows.append_rows(more);
+    origin_s.insert(origin_s.end(), more_origin_s.begin(), more_origin_s.end());
+    parents.insert(parents.end(), more_parents.begin(), more_parents.end());
+    row_count += more.rows();
+  }
+};
 
 class FleetSim;
 
@@ -264,6 +287,7 @@ class FleetSurface {
   FleetSim& fleet_;
 };
 
+class DegradeLadder;
 class DeployPhase;
 class OtaLoop;
 
@@ -303,29 +327,6 @@ class FleetSim {
  private:
   friend class FleetSurface;
 
-  struct Buffer {
-    data::Dataset rows;
-    std::vector<double> origin_s;
-    std::size_t row_count = 0;
-    /// Origin-window trace ids folded into `rows`, in fold order — the
-    /// causal provenance the journey log needs to survive edge batching,
-    /// store-and-forward and checkpoint restore.
-    std::vector<std::uint64_t> parents;
-    /// Contiguous per-sender row runs (maintained only when degradation is
-    /// enabled) — the strata L1 sampling draws from, so every device keeps
-    /// representation in the sampled window.
-    std::vector<approx::Stratum> strata;
-
-    /// Fold `more`, with its origin times and parent ids, onto the end.
-    void append(const data::Dataset& more, const std::vector<double>& more_origin_s,
-                const std::vector<std::uint64_t>& more_parents) {
-      rows.append_rows(more);
-      origin_s.insert(origin_s.end(), more_origin_s.begin(), more_origin_s.end());
-      parents.insert(parents.end(), more_parents.begin(), more_parents.end());
-      row_count += more.rows();
-    }
-  };
-
   void generate_device_data();
   void schedule_initial_events();
   void handle(const Event& event);
@@ -333,7 +334,7 @@ class FleetSim {
   void handle_edge_flush(std::size_t edge_index, double now_s);
   /// A row frame lands: kArrival intact, kCorruptArrival failing its checksum.
   void handle_arrival(const Event& event);
-  void send(net::NodeId from, Buffer&& chunk, double now_s);
+  void send(net::NodeId from, RowBuffer&& chunk, double now_s);
   /// The one send path for traced frames (DESIGN.md §9). The caller fills
   /// `frame`'s src, dst, stream, rows, bytes and parents. A frame climbing
   /// the tree (src < dst: node ids ascend device, edge, core) rides src's
@@ -351,10 +352,8 @@ class FleetSim {
   /// Link `link`'s cached bytes counter (see link_bytes_).
   obs::Counter& link_bytes(std::size_t link);
   void finalize();
-  int truth_label(double time_s) const;
-  /// The core's rows so far, time-ordered and labeled with the analytics
-  /// concept. Requires at least one row.
-  data::Dataset labeled_core_rows() const;
+  /// `ds` labeled with the analytics concept at each row's timestamp.
+  data::Dataset labeled(data::Dataset ds) const;
   /// Rows [begin, end) of `device`'s sensed data, labeled.
   data::Dataset labeled_device_rows(std::size_t device, std::size_t begin,
                                     std::size_t end) const;
@@ -366,7 +365,7 @@ class FleetSim {
   void set_partition(bool on);
   void set_loss_burst(bool on);
   void set_corruption_storm(bool on);
-  void store_and_forward(net::NodeId device, Buffer&& chunk);
+  void store_and_forward(net::NodeId device, RowBuffer&& chunk);
   std::size_t stored_rows(net::NodeId device) const;
 
   // Telemetry wire path (config_.telemetry.enabled; see DESIGN.md §15).
@@ -381,35 +380,13 @@ class FleetSim {
   /// store-and-forward keeps the rows, the log accounts the encoded bytes,
   /// and overflow evicts whole frames oldest-first (byte bound first, then
   /// the legacy row cap) keeping both structures in lockstep.
-  void telemetry_store(net::NodeId device, Buffer&& chunk);
+  void telemetry_store(net::NodeId device, RowBuffer&& chunk);
 
-  // Graceful-degradation ladder (config_.degrade.enabled; DESIGN.md §16).
-  bool degrade_on() const noexcept { return config_.degrade.enabled; }
-  /// Measure this edge's backpressure signals on the virtual clock.
-  approx::DegradeSignals degrade_signals(std::size_t edge_index, double now_s);
-  /// Step the edge's controller, ledger any transition and return the level.
-  int degrade_update(std::size_t edge_index, double now_s,
-                     const approx::DegradeSignals& signals);
-  /// L1: replace the edge buffer with a seeded stratified sample; records
-  /// the window's confidence interval against the exact (counterfactual)
-  /// window mean and ledgers the shed rows.
-  void degrade_sample_window(std::size_t edge_index, double now_s);
-  /// Ledger one CI-carrying window answered at `level` from `rows_used` of
-  /// its `population` rows, against the exact mean over `exact_n` rows.
-  void degrade_record_ci(std::size_t edge_index, double now_s, int level,
-                         std::size_t population, std::size_t rows_used,
-                         const approx::Interval& ci, double exact,
-                         std::size_t exact_n);
-  /// L2/L3: answer the window with sketches (or a bare count), shed every
-  /// row and uplink a fixed-size summary instead of the batch.
-  void degrade_summary_flush(std::size_t edge_index, double now_s, int level);
-  void handle_summary_arrival(const Event& event);
   void set_load_storm(bool on, double now_s);
   void handle_storm_flush(const Event& event);
-  /// Post-drain calm updates so every un-pinned edge walks back to L0 and
-  /// the per-level time books close.
-  void degrade_settle(double now_s);
-  void finalize_degradation();
+  /// The ladder's L2/L3 answer to edge `edge_index`'s window: the summary
+  /// replaces the batch on the uplink, untraced, and the window is dropped.
+  void degrade_summary_flush(std::size_t edge_index, double now_s, int level);
 
   // Observatory wiring (see DESIGN.md §13).
   /// Journal what the receiver did with `event`'s arrival. Node and time come
@@ -429,8 +406,6 @@ class FleetSim {
   // det-sanctioned: placeholder seed; reseeded from master.split() (rng-stream: core)
   Rng core_rng_{0};
   std::vector<Rng> link_rngs_;
-  // det-sanctioned: placeholder; reseeded via master.split() last (rng-stream: chaos)
-  Rng chaos_rng_{0};  ///< split last, so legacy streams stay byte-identical
 
   /// One transport per link, same index space; every simulator send goes
   /// through these (lint rule R8 bans direct Link transmits outside net/).
@@ -448,8 +423,8 @@ class FleetSim {
   /// the wire struct: receivers inherit provenance locally, the frame only
   /// carries the 10-byte TraceContext.
   std::vector<std::vector<std::uint64_t>> msg_parents_;
-  std::vector<Buffer> edge_buffers_;
-  Buffer core_buffer_;
+  std::vector<RowBuffer> edge_buffers_;
+  RowBuffer core_buffer_;
 
   /// Per-tier virtual-latency distributions at fixed memory — the
   /// observatory's replacement for an unbounded per-sample vector.
@@ -463,8 +438,8 @@ class FleetSim {
   std::uint64_t next_trace_ = 1;
   obs::Observatory obsy_;  ///< disabled (a null object) unless config_.observatory.enabled
 
-  std::vector<Buffer> edge_checkpoints_;  ///< last persisted buffer per edge
-  std::vector<std::deque<Buffer>> device_sf_;  ///< store-and-forward chunks
+  std::vector<RowBuffer> edge_checkpoints_;  ///< last persisted buffer per edge
+  std::vector<std::deque<RowBuffer>> device_sf_;  ///< store-and-forward chunks
 
   // ---- Telemetry wire state (empty unless config_.telemetry.enabled) ----
   tdf::SchemaRegistry tdf_registry_;       ///< edge-side schemas, keyed by id
@@ -473,6 +448,8 @@ class FleetSim {
   std::vector<std::uint32_t> tdf_seq_;          ///< per-device frame sequence
   std::vector<tdf::DeviceLog> device_logs_;     ///< per-device encoded ring
   bool partitioned_ = false;
+  bool load_storm_ = false;
+  std::uint64_t storm_epoch_ = 0;  ///< invalidates stale kStormFlush chains
   std::vector<std::uint8_t> core_link_;  ///< link index -> is edge<->core
   /// Pre-chaos drop/corrupt probabilities of every link, captured at start
   /// so burst/storm ends restore exactly the configured baseline.
@@ -483,34 +460,8 @@ class FleetSim {
   std::unique_ptr<DeployPhase> deploy_;
   /// The OTA delta-update loop (DESIGN.md §14); null unless config_.ota.enabled.
   std::unique_ptr<OtaLoop> ota_;
-
-  // ---- Degradation ladder state (empty unless config_.degrade.enabled) --
-
-  /// One L2/L3 summary uplink in flight (edge -> core).
-  struct DegradeSummary {
-    std::size_t edge = 0;  ///< edge index
-    int level = 0;
-    std::size_t wire_bytes = 0;
-    std::uint64_t rows_represented = 0;
-    bool delivered = false;
-  };
-
-  // det-sanctioned: placeholder; reseeded via master.split() (rng-stream: degrade)
-  Rng degrade_rng_{0};  ///< L1 stratified sampling; split last of all
-  std::vector<approx::DegradationController> degrade_ctrl_;  ///< per edge
-  std::vector<double> degrade_signal_t_;        ///< last controller update
-  std::vector<std::uint64_t> degrade_dead_letters_;       ///< per-edge total
-  std::vector<std::uint64_t> degrade_dead_letters_seen_;  ///< at last update
-  /// Deepest in-flight/queue-capacity fraction observed on any of the
-  /// edge's channels since its last controller update (reset on read).
-  std::vector<double> degrade_queue_hint_;
-  std::vector<std::uint64_t> degrade_sf_highwater_;  ///< rows, per edge
-  std::vector<DegradeSummary> degrade_summaries_;
-  // Running sums behind the ledger's mean_half_width / mean_abs_error.
-  double degrade_half_width_sum_ = 0.0;
-  double degrade_abs_error_sum_ = 0.0;
-  bool load_storm_ = false;
-  std::uint64_t storm_epoch_ = 0;  ///< invalidates stale kStormFlush chains
+  /// The degradation ladder (DESIGN.md §16); null unless config_.degrade.enabled.
+  std::unique_ptr<DegradeLadder> ladder_;
 
   FleetReport report_;
   bool ran_ = false;

@@ -87,7 +87,6 @@ class Scheduler {
             std::size_t message = kNoMessage, bool duplicate = false);
 
   bool empty() const noexcept { return queue_.empty(); }
-  std::size_t pending() const noexcept { return queue_.size(); }
 
   /// Pop the earliest event and advance the virtual clock to it. Throws
   /// InvalidArgument when the queue is empty.

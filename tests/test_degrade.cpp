@@ -183,6 +183,30 @@ TEST(FleetPin, PinnedRungsAreByteIdentical) {
   }
 }
 
+// The summary receiver discards a link's straggler copy on Event::duplicate,
+// like every other receiver: about half the L2 summaries land twice, and
+// each counts once at most.
+TEST(DegradeLedger, DuplicateSummariesAreDiscarded) {
+  FleetConfig cfg = golden_config();
+  cfg.edge_flush_s = 2.0;
+  cfg.degrade.enabled = true;
+  cfg.degrade.pin_level = 2;
+  cfg.edge_core_link.duplicate_prob = 0.5;
+  FleetSim sim(cfg);
+  const FleetReport report = sim.run();
+  const DegradationLedger& d = report.degradation;
+  std::uint64_t arrivals = 0;
+  for (const std::string& line : sim.event_log()) {
+    if (line.find(" summary-arrival ") != std::string::npos) ++arrivals;
+  }
+  ASSERT_GT(d.summaries_delivered, 0u);
+  EXPECT_LE(d.summaries_delivered, d.summaries_sent);
+  // A sent summary lands at most once as an original, so the extra arrivals
+  // are duplicates, and none of them was counted.
+  EXPECT_GT(arrivals, d.summaries_sent);
+  EXPECT_TRUE(report.rows_conserved());
+}
+
 // Pinned L1's confidence intervals must actually bound the realized error.
 // The >= 90% coverage gate is statistical and lives in bench_degrade, where
 // a run yields 16-64 windows; this golden fleet yields only a handful, and

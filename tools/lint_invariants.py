@@ -55,8 +55,10 @@ R8  transport-discipline  Direct Link transmit calls (`.transmit(` /
                           src/sim/, a channel `.send(` is allowed only inside
                           FleetSim::transmit (every traced frame) and
                           FleetSim::degrade_summary_flush (the untraced
-                          summary uplink), so trace ids, journey outcomes and
-                          arrival scheduling have one send path; and a
+                          uplink of the summary DegradeLadder builds; the
+                          module itself never sends), so trace ids, journey
+                          outcomes and arrival scheduling have one send
+                          path; and a
                           ChannelOutcome's `duplicate_arrival_s` is read only
                           inside FleetSim::schedule_arrival, the one place
                           that schedules a link's straggler copy and flags it
@@ -595,6 +597,10 @@ def self_test() -> int:
     case("R8-flag-sim-channel-send", True,
          {"src/sim/fleet.cpp":
           "void FleetSim::send_artifact(int to) {\n  channels_[to].send(t, b, rng);\n}\n"},
+         check_transport_discipline)
+    case("R8-flag-ladder-channel-send", True,
+         {"src/sim/degrade_ladder.cpp":
+          "void DegradeLadder::summarize(int e) {\n  channels[e].send(t, bytes, rng);\n}\n"},
          check_transport_discipline)
     case("R8-clean-sim-transmit", False,
          {"src/sim/fleet.cpp":
