@@ -83,36 +83,72 @@ void Column::push_missing() {
   missing_.push_back(true);
 }
 
+void Column::append_cells(const Column& src) {
+  IOTML_CHECK(src.type_ == type_, "Column::append_cells: column type mismatch");
+  constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t n = src.values_.size();
+  missing_.insert(missing_.end(), src.missing_.begin(), src.missing_.end());
+  if (type_ == ColumnType::kNumeric) {
+    const std::size_t base = values_.size();
+    values_.insert(values_.end(), src.values_.begin(), src.values_.end());
+    for (std::size_t r = 0; r < n; ++r) {
+      if (src.missing_[r]) values_[base + r] = kMissing;
+    }
+    return;
+  }
+  // src code -> this column's code, interned on first appearance.
+  constexpr std::size_t kUnmapped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> remap(src.categories_.size(), kUnmapped);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (src.missing_[r]) {
+      values_.push_back(kMissing);
+      continue;
+    }
+    const auto src_code = static_cast<std::size_t>(src.values_[r]);
+    std::size_t& code = remap[src_code];
+    if (code == kUnmapped) code = intern(src.categories_[src_code]);
+    values_.push_back(static_cast<double>(code));
+  }
+}
+
 // ---- Dataset ----------------------------------------------------------------
 
+Dataset::Dataset(const Dataset& other) : labels_(other.labels_) {
+  columns_.reserve(other.columns_.size());
+  for (const auto& c : other.columns_) columns_.push_back(std::make_unique<Column>(*c));
+}
+
+Dataset& Dataset::operator=(const Dataset& other) {
+  if (this != &other) *this = Dataset(other);
+  return *this;
+}
+
 Column& Dataset::add_numeric_column(const std::string& name) {
-  columns_.emplace_back(name, ColumnType::kNumeric);
-  return columns_.back();
+  return *columns_.emplace_back(std::make_unique<Column>(name, ColumnType::kNumeric));
 }
 
 Column& Dataset::add_categorical_column(const std::string& name) {
-  columns_.emplace_back(name, ColumnType::kCategorical);
-  return columns_.back();
+  return *columns_.emplace_back(std::make_unique<Column>(name, ColumnType::kCategorical));
 }
 
 std::size_t Dataset::rows() const {
   if (columns_.empty()) return labels_.size();
-  return columns_.front().size();
+  return columns_.front()->size();
 }
 
 Column& Dataset::column(std::size_t i) {
   IOTML_CHECK(i < columns_.size(), "Dataset::column: index out of range");
-  return columns_[i];
+  return *columns_[i];
 }
 
 const Column& Dataset::column(std::size_t i) const {
   IOTML_CHECK(i < columns_.size(), "Dataset::column: index out of range");
-  return columns_[i];
+  return *columns_[i];
 }
 
 std::size_t Dataset::column_index(const std::string& name) const {
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name() == name) return i;
+    if (columns_[i]->name() == name) return i;
   }
   throw InvalidArgument("Dataset::column_index: no column named '" + name + "'");
 }
@@ -136,17 +172,17 @@ std::size_t Dataset::num_classes() const {
 
 double Dataset::missing_rate() const {
   std::size_t cells = 0, missing = 0;
-  for (const Column& c : columns_) {
-    cells += c.size();
-    missing += c.missing_count();
+  for (const auto& c : columns_) {
+    cells += c->size();
+    missing += c->missing_count();
   }
   return cells == 0 ? 0.0 : static_cast<double>(missing) / static_cast<double>(cells);
 }
 
 void Dataset::validate() const {
   const std::size_t n = rows();
-  for (const Column& c : columns_) {
-    IOTML_CHECK(c.size() == n, "Dataset::validate: column '" + c.name() + "' length mismatch");
+  for (const auto& c : columns_) {
+    IOTML_CHECK(c->size() == n, "Dataset::validate: column '" + c->name() + "' length mismatch");
   }
   IOTML_CHECK(labels_.empty() || labels_.size() == n,
               "Dataset::validate: label length mismatch");
@@ -157,31 +193,36 @@ void Dataset::append_rows(const Dataset& other) {
     *this = other;
     return;
   }
+  append_cells(other);
+}
+
+void Dataset::append_rows(Dataset&& other) {
+  if (columns_.empty() && labels_.empty()) {
+    *this = std::move(other);
+    return;
+  }
+  append_cells(other);
+}
+
+void Dataset::append_cells(const Dataset& other) {
   IOTML_CHECK(other.num_columns() == num_columns(),
               "Dataset::append_rows: column count mismatch");
   IOTML_CHECK(other.has_labels() == has_labels(),
               "Dataset::append_rows: label presence mismatch");
   for (std::size_t c = 0; c < num_columns(); ++c) {
-    const Column& src = other.columns_[c];
-    Column& dst = columns_[c];
+    const Column& src = *other.columns_[c];
+    const Column& dst = *columns_[c];
     IOTML_CHECK(src.name() == dst.name() && src.type() == dst.type(),
                 "Dataset::append_rows: column '" + dst.name() + "' schema mismatch");
-    for (std::size_t r = 0; r < src.size(); ++r) {
-      if (src.is_missing(r)) {
-        dst.push_missing();
-      } else if (src.type() == ColumnType::kNumeric) {
-        dst.push_numeric(src.numeric(r));
-      } else {
-        dst.push_category(src.category_label(r));
-      }
-    }
   }
+  for (std::size_t c = 0; c < num_columns(); ++c) columns_[c]->append_cells(*other.columns_[c]);
   labels_.insert(labels_.end(), other.labels_.begin(), other.labels_.end());
 }
 
 Dataset Dataset::select_rows(const std::vector<std::size_t>& rows) const {
   Dataset out;
-  for (const Column& c : columns_) {
+  for (const auto& col : columns_) {
+    const Column& c = *col;
     Column& nc = c.type() == ColumnType::kNumeric ? out.add_numeric_column(c.name())
                                                   : out.add_categorical_column(c.name());
     for (std::size_t r : rows) {
@@ -276,7 +317,9 @@ Samples to_samples(const Dataset& ds, MissingPolicy policy) {
 Dataset samples_to_dataset(const Samples& s) {
   Dataset out;
   for (std::size_t c = 0; c < s.dim(); ++c) {
-    Column& col = out.add_numeric_column("f" + std::to_string(c));
+    std::string name = std::to_string(c);
+    name.insert(0, 1, 'f');
+    Column& col = out.add_numeric_column(name);
     for (std::size_t r = 0; r < s.size(); ++r) col.push_numeric(s.x(r, c));
   }
   if (!s.y.empty()) out.set_labels(s.y);

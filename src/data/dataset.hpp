@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -49,6 +50,14 @@ class Column {
   /// Append a missing cell.
   void push_missing();
 
+  /// Append every cell of `src`, which must have this column's type, in one
+  /// pass. The result is bit-identical to pushing src's cells one by one
+  /// (push_numeric / push_category(label) / push_missing): missing cells are
+  /// stored as NaN, and src's category codes are remapped through a table
+  /// filled in first-appearance order, so new labels are interned in the
+  /// same order a per-cell append would intern them.
+  void append_cells(const Column& src);
+
   /// Raw storage (numeric value or category index; unspecified when missing).
   const std::vector<double>& raw() const noexcept { return values_; }
 
@@ -68,10 +77,18 @@ class Column {
 class Dataset {
  public:
   Dataset() = default;
+  /// Deep copy: every column is duplicated.
+  Dataset(const Dataset& other);
+  Dataset& operator=(const Dataset& other);
+  /// A move hands over the column pointers: no allocation, never throws,
+  /// and the moved-from dataset is empty.
+  Dataset(Dataset&& other) noexcept = default;
+  Dataset& operator=(Dataset&& other) noexcept = default;
+  ~Dataset() = default;
 
   /// Add a column; all columns must stay the same length (checked lazily by
   /// rows(), strictly by validate()). The returned reference stays valid as
-  /// more columns are added (columns live in a deque).
+  /// more columns are added and when the dataset is moved.
   Column& add_numeric_column(const std::string& name);
   Column& add_categorical_column(const std::string& name);
 
@@ -103,6 +120,10 @@ class Dataset {
   /// dataset copies `other` wholesale. This is how the fleet simulator's
   /// edge and core nodes accumulate records arriving from many sources.
   void append_rows(const Dataset& other);
+  /// As above, for a source that dies here: appending to a default-
+  /// constructed dataset takes `other`'s columns and labels without copying
+  /// a cell and leaves `other` empty; otherwise the rows are copied.
+  void append_rows(Dataset&& other);
 
   /// Extract rows by index into a new dataset (labels follow when present).
   Dataset select_rows(const std::vector<std::size_t>& rows) const;
@@ -111,9 +132,18 @@ class Dataset {
   Dataset select_columns(const std::vector<std::size_t>& cols) const;
 
  private:
-  std::deque<Column> columns_;
+  /// Checks the schema and label presence, then appends `other`'s cells.
+  void append_cells(const Dataset& other);
+
+  /// One heap cell per column, so add_*_column references stay valid and a
+  /// move is a pointer swap.
+  std::vector<std::unique_ptr<Column>> columns_;
   std::vector<int> labels_;
 };
+static_assert(std::is_nothrow_move_constructible_v<Dataset> &&
+                  std::is_nothrow_move_assignable_v<Dataset>,
+              "row windows move along the fleet data path; a throwing move would make "
+              "std::vector growth copy every payload");
 
 /// Dense numeric view for kernel methods and linear models: rows = samples.
 struct Samples {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -31,10 +32,17 @@ inline constexpr std::size_t kTraceContextBytes = 10;
 static_assert(kTraceContextBytes < kMessageHeaderBytes,
               "trace context must fit inside the fixed header allowance");
 
-/// One dataset chunk in flight between tiers. Payloads are moved, never
-/// copied per hop; `origin_s` carries the virtual creation time of every
-/// device chunk folded into the payload, so the core can account a full
-/// end-to-end latency distribution even after edge-side batching.
+/// One dataset chunk in flight between tiers. `origin_s` carries the
+/// virtual creation time of every device chunk folded into the payload, so
+/// the core can account a full end-to-end latency distribution even after
+/// edge-side batching.
+///
+/// Ownership: a payload has one owner at a time and is moved, never copied,
+/// per hop — from the sender's buffer into the message, and at arrival into
+/// the receiver's buffer. The one non-duplicate arrival consumes the message:
+/// it moves `payload` out (or drops it: corrupt frame, dead receiver) and
+/// clears `tdf_frame`, so nothing already forwarded stays retained. A
+/// straggler duplicate reads only the header fields.
 struct Message {
   std::uint64_t id = 0;
   std::size_t src = 0;
@@ -53,6 +61,8 @@ struct Message {
   /// byte-for-byte — simulator-side ground truth, not wire bytes.
   std::vector<std::uint8_t> tdf_frame;
 };
+static_assert(std::is_nothrow_move_constructible_v<Message>,
+              "message-table growth must move payloads, not copy them");
 
 /// FNV-1a over the payload's shape, column names, presence bitmap, labels
 /// and cell bits. Senders stamp Message::checksum with this; receivers

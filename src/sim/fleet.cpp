@@ -604,16 +604,19 @@ void FleetSim::handle_device_flush(const Event& event) {
   RowBuffer merged;
   if (sf) {
     while (!device_sf_[d].empty()) {
-      const RowBuffer& pending = device_sf_[d].front();
-      merged.append(d, pending.rows, pending.origin_s, pending.parents);
+      RowBuffer pending = std::move(device_sf_[d].front());
       device_sf_[d].pop_front();
+      merged.append(d, std::move(pending.rows), std::move(pending.origin_s),
+                    std::move(pending.parents));
     }
     if (merged.row_count > 0) obsy_.note(d, event.time_s, "sf-drain", merged.row_count);
     // A full drain empties the ring log with it: the backlog leaves as one
     // merged frame, re-encoded by send().
     if (telemetry_on()) device_logs_[d].clear();
   }
-  if (out.row_count > 0) merged.append(d, out.rows, out.origin_s, out.parents);
+  if (out.row_count > 0) {
+    merged.append(d, std::move(out.rows), std::move(out.origin_s), std::move(out.parents));
+  }
   if (merged.row_count == 0) return;
   send(d, std::move(merged), event.time_s);
 }
@@ -833,8 +836,9 @@ void FleetSim::send(net::NodeId from, RowBuffer&& chunk, double now_s) {
         report_.rows_lost += rows;
       }
     } else {
-      edge_buffers_[from - config_.devices].append(from, msg.payload, msg.origin_s,
-                                                   frame.parents);
+      edge_buffers_[from - config_.devices].append(from, std::move(msg.payload),
+                                                   std::move(msg.origin_s),
+                                                   std::move(frame.parents));
     }
   };
 
@@ -932,8 +936,8 @@ void FleetSim::send(net::NodeId from, RowBuffer&& chunk, double now_s) {
     msg.checksum ^= 1;
     schedule_arrival(out, EventKind::kCorruptArrival, to, msg.id);
   }
+  msg_records_.push_back({.parents = std::move(frame.parents), .rows = msg.payload.rows()});
   messages_.push_back(std::move(msg));
-  msg_parents_.push_back(std::move(frame.parents));
 }
 
 net::ChannelOutcome FleetSim::transmit(obs::HopRecord& frame, EventKind arrival,
@@ -968,87 +972,88 @@ void FleetSim::schedule_arrival(const net::ChannelOutcome& out, EventKind kind,
 
 void FleetSim::handle_arrival(const Event& event) {
   const net::NodeId node = event.target;
-  const net::Message& msg = messages_[event.message];
+  net::Message& msg = messages_[event.message];
+  MessageRecord& record = msg_records_[event.message];
+  const std::size_t rows = record.rows;
   if (event.duplicate) {
     ++report_.duplicates_discarded;
     static obs::Counter& sim_net_duplicates_discarded =
         obs::registry().counter("sim.net.duplicates_discarded");
     sim_net_duplicates_discarded.add();
-    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
-                   "duplicate");
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, rows, "duplicate");
     return;
   }
+  // The one non-duplicate arrival consumes the message (DESIGN.md §9): the
+  // rows move on into a buffer or die here, and nothing is retained.
+  data::Dataset payload = std::move(msg.payload);
+  std::vector<double> origin_s = std::move(msg.origin_s);
+  const std::vector<std::uint8_t> tdf_frame = std::move(msg.tdf_frame);
   if (event.kind == EventKind::kCorruptArrival) {
     // The receiver recomputes the checksum over what the wire delivered and
     // rejects the frame on mismatch: corrupt rows are counted, never scored.
-    IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) != msg.checksum,
+    IOTML_INTERNAL_CHECK(net::payload_checksum(payload) != msg.checksum,
                          "FleetSim: corrupt arrival passed checksum verification");
-    if (!msg.tdf_frame.empty()) {
+    if (!tdf_frame.empty()) {
       // The damage lives in the frame bytes: the trailer checksum must catch
       // it before a decode is even attempted.
-      IOTML_INTERNAL_CHECK(!tdf::frame_intact(msg.tdf_frame),
+      IOTML_INTERNAL_CHECK(!tdf::frame_intact(tdf_frame),
                            "FleetSim: corrupt TDF frame passed its trailer check");
       ++report_.telemetry.frames_rejected;
     }
-    report_.faults.rows_corrupt_rejected += msg.payload.rows();
+    report_.faults.rows_corrupt_rejected += rows;
     static obs::Counter& sim_net_rows_corrupt_rejected =
         obs::registry().counter("sim.net.rows_corrupt_rejected");
-    sim_net_rows_corrupt_rejected.add(msg.payload.rows());
-    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
-                   "corrupt_rejected");
-    obsy_.note(node, event.time_s, "rx-corrupt", msg.payload.rows(), msg.trace.id);
+    sim_net_rows_corrupt_rejected.add(rows);
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, rows, "corrupt_rejected");
+    obsy_.note(node, event.time_s, "rx-corrupt", rows, msg.trace.id);
     return;
   }
   // Receivers verify every frame: an intact arrival must re-hash to its
   // stamped checksum.
-  IOTML_INTERNAL_CHECK(net::payload_checksum(msg.payload) == msg.checksum,
+  IOTML_INTERNAL_CHECK(net::payload_checksum(payload) == msg.checksum,
                        "FleetSim: intact arrival failed checksum verification");
   if (!topo_.node(node).up) {
     // The receiver crashed while the frame was in flight: nobody is
     // listening, and the rows die with the dead node.
-    report_.faults.rows_lost_to_crash += msg.payload.rows();
+    report_.faults.rows_lost_to_crash += rows;
     static obs::Counter& sim_faults_rows_lost_to_crash =
         obs::registry().counter("sim.faults.rows_lost_to_crash");
-    sim_faults_rows_lost_to_crash.add(msg.payload.rows());
-    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
-                   "dead_receiver");
+    sim_faults_rows_lost_to_crash.add(rows);
+    journey_arrive(event, obs::HopStream::kRows, msg.trace.id, rows, "dead_receiver");
     return;
   }
   const double hop_latency_s = event.time_s - msg.sent_s;
-  journey_arrive(event, obs::HopStream::kRows, msg.trace.id, msg.payload.rows(),
-                 "accepted");
+  journey_arrive(event, obs::HopStream::kRows, msg.trace.id, rows, "accepted");
   if (node == topo_.core()) {
     lat_edge_core_.record(hop_latency_s);
-    for (double origin : msg.origin_s) lat_end_to_end_.record(event.time_s - origin);
-    obsy_.note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
+    for (double origin : origin_s) lat_end_to_end_.record(event.time_s - origin);
+    obsy_.note(node, event.time_s, "rx-rows", rows, msg.trace.id);
     obsy_.sample("uplink.latency_s", "core", "core", event.time_s, hop_latency_s);
-    obsy_.sample("uplink.rows", "core", "core", event.time_s,
-                 static_cast<double>(msg.payload.rows()));
-    report_.rows_delivered += msg.payload.rows();
-    core_buffer_.rows.append_rows(msg.payload);
-    core_buffer_.row_count += msg.payload.rows();
+    obsy_.sample("uplink.rows", "core", "core", event.time_s, static_cast<double>(rows));
+    report_.rows_delivered += rows;
+    core_buffer_.rows.append_rows(std::move(payload));
+    core_buffer_.row_count += rows;
   } else {
     lat_device_edge_.record(hop_latency_s);
     const std::string& entity = topo_.node(node).name;
-    obsy_.note(node, event.time_s, "rx-rows", msg.payload.rows(), msg.trace.id);
+    obsy_.note(node, event.time_s, "rx-rows", rows, msg.trace.id);
     obsy_.sample("uplink.latency_s", entity, "edge", event.time_s, hop_latency_s);
-    obsy_.sample("uplink.rows", entity, "edge", event.time_s,
-                 static_cast<double>(msg.payload.rows()));
+    obsy_.sample("uplink.rows", entity, "edge", event.time_s, static_cast<double>(rows));
     RowBuffer& buf = edge_buffers_[node - config_.devices];
-    if (!msg.tdf_frame.empty()) {
+    if (!tdf_frame.empty()) {
       // The decode is load-bearing: the edge reconstructs the rows from the
       // wire bytes and feeds *those* into its sub-pipeline. The
       // reconstruction must hash to the checksum the device stamped over
       // what it encoded — decode errors can never slip downstream.
-      tdf::Frame f = tdf::decode_frame(msg.tdf_frame, tdf_registry_);
+      tdf::Frame f = tdf::decode_frame(tdf_frame, tdf_registry_);
       IOTML_INTERNAL_CHECK(
           net::payload_checksum(f.rows) == msg.checksum,
           "FleetSim: TDF decode does not reproduce the device's rows");
       ++report_.telemetry.frames_delivered;
       report_.telemetry.rows_decoded += f.rows.rows();
-      buf.append(msg.src, f.rows, f.origin_s, msg_parents_[msg.id]);
+      buf.append(msg.src, std::move(f.rows), std::move(f.origin_s), std::move(record.parents));
     } else {
-      buf.append(msg.src, msg.payload, msg.origin_s, msg_parents_[msg.id]);
+      buf.append(msg.src, std::move(payload), std::move(origin_s), std::move(record.parents));
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "approx/degradation.hpp"
@@ -240,17 +241,29 @@ struct RowBuffer {
   std::vector<approx::Stratum> strata;
 
   /// Fold `more` from `sender`, with its origin times and parent ids, onto
-  /// the end as one stratum.
-  void append(net::NodeId sender, const data::Dataset& more,
-              const std::vector<double>& more_origin_s,
-              const std::vector<std::uint64_t>& more_parents) {
+  /// the end as one stratum. The sources die here: into an empty buffer the
+  /// rows, origins and parents are taken without copying.
+  void append(net::NodeId sender, data::Dataset&& more, std::vector<double>&& more_origin_s,
+              std::vector<std::uint64_t>&& more_parents) {
     strata.push_back({static_cast<std::uint32_t>(sender), row_count, more.rows()});
-    rows.append_rows(more);
-    origin_s.insert(origin_s.end(), more_origin_s.begin(), more_origin_s.end());
-    parents.insert(parents.end(), more_parents.begin(), more_parents.end());
     row_count += more.rows();
+    rows.append_rows(std::move(more));
+    append_vector(origin_s, std::move(more_origin_s));
+    append_vector(parents, std::move(more_parents));
+  }
+
+ private:
+  template <typename T>
+  static void append_vector(std::vector<T>& dst, std::vector<T>&& src) {
+    if (dst.empty()) {
+      dst = std::move(src);
+    } else {
+      dst.insert(dst.end(), src.begin(), src.end());
+    }
   }
 };
+static_assert(std::is_nothrow_move_constructible_v<RowBuffer>,
+              "row buffers move through store-and-forward and the edge flush");
 
 class FleetSim;
 
@@ -418,11 +431,20 @@ class FleetSim {
   std::vector<data::Dataset> device_data_;    ///< pre-integrated full window
   std::vector<std::size_t> device_cursor_;    ///< next unflushed row
 
+  /// Row messages by id. The one non-duplicate arrival consumes its
+  /// message's payload and frame (see net::Message); the header stays.
   std::vector<net::Message> messages_;
-  /// Per-message parent origin-window ids, parallel to messages_. Kept off
-  /// the wire struct: receivers inherit provenance locally, the frame only
-  /// carries the 10-byte TraceContext.
-  std::vector<std::vector<std::uint64_t>> msg_parents_;
+  /// What of a message outlives its arrival, parallel to messages_.
+  struct MessageRecord {
+    /// Parent origin-window ids. Kept off the wire struct: receivers
+    /// inherit provenance locally, the frame only carries the 10-byte
+    /// TraceContext. Moved into the edge buffer at arrival.
+    std::vector<std::uint64_t> parents;
+    /// Rows sent; a straggler duplicate's journey record reads it after
+    /// the payload has moved on.
+    std::size_t rows = 0;
+  };
+  std::vector<MessageRecord> msg_records_;
   std::vector<RowBuffer> edge_buffers_;
   RowBuffer core_buffer_;
 

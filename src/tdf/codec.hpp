@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -31,6 +32,8 @@ struct Frame {
   data::Dataset rows;
   std::vector<double> origin_s;
 };
+static_assert(std::is_nothrow_move_constructible_v<Frame>,
+              "decoded rows move into the edge buffer");
 
 /// Quantize a dataset in place to the wire resolution: every numeric cell
 /// is rounded to the nearest multiple of 2^-scale_bits (half away from

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/csv.hpp"
 #include "data/dataset.hpp"
 #include "data/metrics.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"
+#include "net/message.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace iotml::data {
 namespace {
@@ -92,6 +99,187 @@ TEST(DatasetTest, MissingRate) {
 TEST(DatasetTest, NegativeLabelsRejected) {
   Dataset ds;
   EXPECT_THROW(ds.set_labels({0, -1}), InvalidArgument);
+}
+
+// ---- append_rows: the bulk path against a per-cell oracle -------------------
+
+/// A seeded random dataset over `categorical` (one entry per column: true =
+/// categorical). Category labels are drawn from `pool`; about a fifth of the
+/// cells are pushed missing and a tenth are set_missing after holding a
+/// value, so raw() keeps a stale value under them.
+Dataset random_dataset(Rng& rng, const std::vector<bool>& categorical, std::size_t rows,
+                       bool labeled, const std::vector<std::string>& pool) {
+  Dataset ds;
+  for (std::size_t c = 0; c < categorical.size(); ++c) {
+    const std::string name = "c" + std::to_string(c);
+    Column& col = categorical[c] ? ds.add_categorical_column(name) : ds.add_numeric_column(name);
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (rng.bernoulli(0.2)) {
+        col.push_missing();
+      } else if (categorical[c]) {
+        col.push_category(pool[rng.index(pool.size())]);
+      } else {
+        col.push_numeric(rng.uniform(-1e3, 1e3));
+      }
+      if (rng.bernoulli(0.1)) col.set_missing(r);
+    }
+  }
+  if (labeled) {
+    std::vector<int> labels(rows);
+    for (int& y : labels) y = rng.uniform_int(0, 3);
+    ds.set_labels(std::move(labels));
+  }
+  return ds;
+}
+
+/// The slow path append_rows must reproduce: `src`'s cells pushed one by one.
+void per_cell_append(Dataset& dst, const Dataset& src) {
+  for (std::size_t c = 0; c < src.num_columns(); ++c) {
+    const Column& from = src.column(c);
+    Column& to = dst.column(c);
+    for (std::size_t r = 0; r < from.size(); ++r) {
+      if (from.is_missing(r)) {
+        to.push_missing();
+      } else if (from.type() == ColumnType::kNumeric) {
+        to.push_numeric(from.numeric(r));
+      } else {
+        to.push_category(from.category_label(r));
+      }
+    }
+  }
+  if (src.has_labels()) {
+    std::vector<int> labels = dst.labels();
+    labels.insert(labels.end(), src.labels().begin(), src.labels().end());
+    dst.set_labels(std::move(labels));
+  }
+}
+
+/// Bit-equal cells (raw() included), missingness, dictionaries, labels and
+/// wire checksum.
+void expect_identical(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  ASSERT_EQ(got.rows(), want.rows());
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    const Column& w = want.column(c);
+    EXPECT_EQ(g.name(), w.name());
+    EXPECT_EQ(g.type(), w.type());
+    EXPECT_EQ(g.categories(), w.categories()) << "column " << c;
+    ASSERT_EQ(g.size(), w.size());
+    for (std::size_t r = 0; r < w.size(); ++r) {
+      EXPECT_EQ(g.is_missing(r), w.is_missing(r)) << "column " << c << " row " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.raw()[r]), std::bit_cast<std::uint64_t>(w.raw()[r]))
+          << "column " << c << " row " << r;
+      if (!w.is_missing(r) && w.type() == ColumnType::kCategorical) {
+        EXPECT_EQ(g.category_label(r), w.category_label(r));
+      }
+    }
+  }
+  EXPECT_EQ(got.labels(), want.labels());
+  EXPECT_EQ(net::payload_checksum(got), net::payload_checksum(want));
+}
+
+TEST(DatasetAppend, BulkAppendMatchesPerCellOracle) {
+  Rng rng(20);
+  const std::vector<std::string> dst_pool = {"gamma", "alpha", "beta"};
+  const std::vector<std::string> src_pool = {"alpha", "delta", "beta", "epsilon", "gamma"};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t cols = 1 + rng.index(4);
+    std::vector<bool> categorical(cols);
+    for (std::size_t c = 0; c < cols; ++c) categorical[c] = rng.bernoulli(0.5);
+    const bool labeled = rng.bernoulli(0.5);
+    Dataset dst = random_dataset(rng, categorical, 1 + rng.index(20), labeled, dst_pool);
+    // Seed unused labels too, so the destination dictionary holds labels the
+    // source uses, in another order, before any cell refers to them.
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (categorical[c] && rng.bernoulli(0.5)) dst.column(c).intern("epsilon");
+    }
+    // A labeled dataset has at least one row (no labels reads as unlabeled).
+    const std::size_t src_rows = rng.index(40) + (labeled ? 1 : 0);
+    const Dataset src = random_dataset(rng, categorical, src_rows, labeled, src_pool);
+
+    Dataset oracle = dst;
+    per_cell_append(oracle, src);
+    Dataset by_copy = dst;
+    by_copy.append_rows(src);
+    expect_identical(by_copy, oracle);
+    Dataset by_move = dst;
+    Dataset doomed = src;
+    by_move.append_rows(std::move(doomed));
+    expect_identical(by_move, oracle);
+    if (HasFailure()) {
+      ADD_FAILURE() << "trial " << trial;
+      return;
+    }
+  }
+}
+
+TEST(DatasetAppend, AppendToEmptyTakesTheSourceWholesale) {
+  Rng rng(7);
+  const std::vector<std::string> pool = {"on", "off", "idle"};
+  const Dataset src = random_dataset(rng, {false, true, false}, 25, true, pool);
+
+  Dataset copied;
+  copied.append_rows(src);
+  expect_identical(copied, src);
+
+  Dataset doomed = src;
+  const Column* first = &doomed.column(0);
+  const double* cells = doomed.column(1).raw().data();
+  Dataset moved;
+  moved.append_rows(std::move(doomed));
+  expect_identical(moved, src);
+  EXPECT_EQ(&moved.column(0), first);  // the column itself changed hands
+  EXPECT_EQ(moved.column(1).raw().data(), cells);
+  EXPECT_EQ(doomed.num_columns(), 0u);  // the source is left empty
+  EXPECT_EQ(doomed.rows(), 0u);
+  EXPECT_FALSE(doomed.has_labels());
+}
+
+TEST(DatasetAppend, SchemaMismatchThrowsAndLeavesTheDestinationAlone) {
+  Rng rng(3);
+  const std::vector<std::string> pool = {"a", "b"};
+  const Dataset dst = random_dataset(rng, {false, true}, 5, true, pool);
+  const std::vector<Dataset> bad = {
+      random_dataset(rng, {false}, 3, true, pool),              // column count
+      random_dataset(rng, {false, true}, 3, false, pool),       // label presence
+      random_dataset(rng, {false, false}, 3, true, pool),       // column type
+      random_dataset(rng, {false, true, true}, 3, true, pool),  // column count
+  };
+  for (const Dataset& other : bad) {
+    Dataset by_copy = dst;
+    EXPECT_THROW(by_copy.append_rows(other), InvalidArgument);
+    expect_identical(by_copy, dst);
+    Dataset by_move = dst;
+    Dataset doomed = other;
+    EXPECT_THROW(by_move.append_rows(std::move(doomed)), InvalidArgument);
+    expect_identical(by_move, dst);
+  }
+  Dataset renamed;
+  renamed.add_numeric_column("c0").push_numeric(1.0);
+  renamed.add_categorical_column("other").push_category("a");
+  renamed.set_labels({0});
+  Dataset by_name = dst;
+  EXPECT_THROW(by_name.append_rows(renamed), InvalidArgument);
+  expect_identical(by_name, dst);
+
+  Column num("x", ColumnType::kNumeric);
+  EXPECT_THROW(num.append_cells(Column("y", ColumnType::kCategorical)), InvalidArgument);
+}
+
+TEST(DatasetAppend, MovesKeepColumnReferencesValid) {
+  Dataset ds;
+  Column& a = ds.add_numeric_column("a");
+  a.push_numeric(1.0);
+  Dataset moved = std::move(ds);
+  Column& b = moved.add_categorical_column("b");
+  b.push_category("x");
+  a.push_numeric(2.0);  // still moved's first column
+  EXPECT_EQ(&moved.column(0), &a);
+  EXPECT_EQ(moved.column(0).size(), 2u);
+  Dataset copy = moved;
+  EXPECT_NE(&copy.column(0), &a);  // a copy is deep
+  expect_identical(copy, moved);
 }
 
 TEST(ToSamples, ThrowPolicyOnMissing) {

@@ -154,6 +154,30 @@ TEST(WireSize, MessageAddsHeaderAndOrigins) {
             kMessageHeaderBytes + wire_size_bytes(m.payload) + 24u);
 }
 
+// ---- Message ownership --------------------------------------------------------
+
+TEST(MessageOwnership, TableGrowthMovesPayloadsInsteadOfCopying) {
+  // A growing message table must hand each payload's columns over, not
+  // duplicate them: the first message's column keeps its address through
+  // every reallocation.
+  std::vector<Message> msgs;
+  const data::Column* first = nullptr;
+  std::size_t reallocations = 0;
+  for (int i = 0; i < 100; ++i) {
+    Message m;
+    m.id = static_cast<std::uint64_t>(i);
+    m.payload.add_numeric_column("v").push_numeric(i);
+    m.tdf_frame = {1, 2, 3};
+    const std::size_t capacity = msgs.capacity();
+    msgs.push_back(std::move(m));
+    if (msgs.capacity() != capacity) ++reallocations;
+    if (first == nullptr) first = &msgs[0].payload.column(0);
+    ASSERT_EQ(&msgs[0].payload.column(0), first) << "after " << msgs.size() << " messages";
+  }
+  EXPECT_GT(reallocations, 1u);
+  EXPECT_DOUBLE_EQ(msgs[99].payload.column(0).numeric(0), 99.0);
+}
+
 // ---- Topology ----------------------------------------------------------------
 
 TEST(Topology, FleetShape) {
@@ -209,12 +233,16 @@ TEST(Faults, PlanIsSortedAndPaired) {
   std::size_t downs = 0;
   std::size_t ups = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (i > 0) EXPECT_GE(plan[i].time_s, plan[i - 1].time_s);
+    if (i > 0) {
+      EXPECT_GE(plan[i].time_s, plan[i - 1].time_s);
+    }
     EXPECT_GE(plan[i].time_s, 0.0);
     const bool is_down = plan[i].kind == FaultKind::kLinkDown ||
                          plan[i].kind == FaultKind::kDeviceDown;
     (is_down ? downs : ups) += 1;
-    if (is_down) EXPECT_LT(plan[i].time_s, 60.0);  // downs start inside the window
+    if (is_down) {
+      EXPECT_LT(plan[i].time_s, 60.0);  // downs start inside the window
+    }
   }
   EXPECT_EQ(downs, ups);
 }

@@ -105,6 +105,35 @@ TEST(Placement, SplitByTierPreservesOrderWithinTier) {
   EXPECT_EQ(tiers.device.reports()[1].stage_name, "d2");
 }
 
+// ---- Row buffers ---------------------------------------------------------------
+
+TEST(RowBuffer, AppendTakesTheFirstWindowAndCopiesLaterOnes) {
+  auto window = [](double t0, std::size_t rows) {
+    data::Dataset ds;
+    data::Column& ts = ds.add_numeric_column("timestamp");
+    for (std::size_t r = 0; r < rows; ++r) ts.push_numeric(t0 + static_cast<double>(r));
+    return ds;
+  };
+  RowBuffer buf;
+  data::Dataset first = window(0.0, 3);
+  const double* cells = first.column(0).raw().data();
+  buf.append(4, std::move(first), {0.5}, {11});
+  EXPECT_EQ(buf.rows.column(0).raw().data(), cells);  // taken, not copied
+  buf.append(5, window(10.0, 2), {10.5}, {12});
+  buf.append(6, window(20.0, 1), {20.5}, {13});
+  EXPECT_EQ(buf.row_count, 6u);
+  EXPECT_EQ(buf.rows.rows(), 6u);
+  EXPECT_DOUBLE_EQ(buf.rows.column(0).numeric(3), 10.0);
+  EXPECT_DOUBLE_EQ(buf.rows.column(0).numeric(5), 20.0);
+  EXPECT_EQ(buf.origin_s, (std::vector<double>{0.5, 10.5, 20.5}));
+  EXPECT_EQ(buf.parents, (std::vector<std::uint64_t>{11, 12, 13}));
+  ASSERT_EQ(buf.strata.size(), 3u);
+  EXPECT_EQ(buf.strata[1].key, 5u);
+  EXPECT_EQ(buf.strata[1].begin, 3u);
+  EXPECT_EQ(buf.strata[1].count, 2u);
+  EXPECT_EQ(buf.strata[2].begin, 5u);
+}
+
 // ---- Fleet simulation --------------------------------------------------------
 
 FleetConfig small_config(std::uint64_t seed = 42) {
@@ -175,7 +204,9 @@ TEST(Fleet, ObservatoryRecordsJourneysSeriesAndFlight) {
         std::string(rec.outcome) == "accepted") {
       ++accepted_at_core;
     }
-    if (rec.kind == obs::HopKind::kSend) EXPECT_GE(rec.attempts, 0u);
+    if (rec.kind == obs::HopKind::kSend) {
+      EXPECT_GE(rec.attempts, 0u);
+    }
   }
   EXPECT_GT(origins, 0u);
   // Every flushed window gets an origin record; flushed rows can exceed the
