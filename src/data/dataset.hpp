@@ -84,7 +84,6 @@ class Dataset {
   /// and the moved-from dataset is empty.
   Dataset(Dataset&& other) noexcept = default;
   Dataset& operator=(Dataset&& other) noexcept = default;
-  ~Dataset() = default;
 
   /// Add a column; all columns must stay the same length (checked lazily by
   /// rows(), strictly by validate()). The returned reference stays valid as
